@@ -12,29 +12,37 @@ Any plotting tool can consume them; the package itself does not plot.
 import argparse
 import os
 
+import numpy as np
+
 from sqkd.fileio import fmt
-from sqkd.keyrate import depolarizing_bound, threshold_q
+from sqkd.keyrate import depolarizing_stats, key_rate_bound, threshold_q
 
 BIAS_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4)
 NOISE_VALUES = (0.0, 0.05, 0.1, 0.15, 0.2)
 
 
-def write_noise_sweep(path, n_points=400):
+def _bound_column(b, q):
+    """The general bound over a grid of b or q: one kernel call per column."""
+    return key_rate_bound(depolarizing_stats(b, q)).bound
+
+
+def _write_table(path, header, x, columns):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("q," + ",".join(f"f_b{b:g}" for b in BIAS_VALUES) + "\n")
-        for i in range(n_points + 1):
-            q = 0.3 * i / n_points
-            row = [fmt(q)] + [fmt(depolarizing_bound(b, q)) for b in BIAS_VALUES]
-            fh.write(",".join(row) + "\n")
+        fh.write(header)
+        for row in zip(x.tolist(), *(c.tolist() for c in columns)):
+            fh.write(",".join(map(fmt, row)) + "\n")
+
+
+def write_noise_sweep(path, n_points=400):
+    q = 0.3 * np.arange(n_points + 1) / n_points
+    _write_table(path, "q," + ",".join(f"f_b{b:g}" for b in BIAS_VALUES) + "\n",
+                 q, [_bound_column(b, q) for b in BIAS_VALUES])
 
 
 def write_bias_sweep(path, n_points=400):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("b," + ",".join(f"f_q{q:g}" for q in NOISE_VALUES) + "\n")
-        for i in range(n_points + 1):
-            b = -0.5 + i / n_points
-            row = [fmt(b)] + [fmt(depolarizing_bound(b, q)) for q in NOISE_VALUES]
-            fh.write(",".join(row) + "\n")
+    b = -0.5 + np.arange(n_points + 1) / n_points
+    _write_table(path, "b," + ",".join(f"f_q{q:g}" for q in NOISE_VALUES) + "\n",
+                 b, [_bound_column(b, q) for q in NOISE_VALUES])
 
 
 def write_thresholds(path):

@@ -196,6 +196,10 @@ def identity_attack(b: float = 0.0, ancilla_dim: int = 1) -> RestrictedAttack:
     return RestrictedAttack(b, e00=e00, e01=np.zeros(d, complex), e10=np.zeros(d, complex), e11=e11)
 
 
+#: the bias and the seven observable probabilities, in field order
+STAT_FIELDS = ("bias", "p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus")
+
+
 @dataclass(frozen=True)
 class ObservedStatistics:
     """The seven probabilities the legitimate users can estimate, plus the bias.
@@ -217,7 +221,7 @@ class ObservedStatistics:
 
     def __post_init__(self):
         object.__setattr__(self, "bias", _check_bias(self.bias))
-        for name in ("p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus"):
+        for name in STAT_FIELDS[1:]:
             p = float(getattr(self, name))
             if not -ATOL <= p <= 1.0 + ATOL or p != p:
                 raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
@@ -229,6 +233,43 @@ class ObservedStatistics:
             raise ValueError(f"p0_plus={self.p0_plus!r} exceeds 1/2+b={0.5 + self.bias!r}")
         if self.p1_plus > 0.5 - self.bias + ATOL:
             raise ValueError(f"p1_plus={self.p1_plus!r} exceeds 1/2-b={0.5 - self.bias!r}")
+
+
+@dataclass(frozen=True)
+class StatisticsColumns:
+    """ObservedStatistics of many points at once: one flat float64 array per field.
+
+    The fields are broadcast together.  Construction runs every
+    ObservedStatistics check at every point and rejects the first bad point
+    with the message ObservedStatistics gives for it.
+    """
+
+    bias: np.ndarray
+    p00: np.ndarray
+    p01: np.ndarray
+    p10: np.ndarray
+    p11: np.ndarray
+    p_e_minus: np.ndarray
+    p0_plus: np.ndarray
+    p1_plus: np.ndarray
+
+    def __post_init__(self):
+        columns = np.broadcast_arrays(*(np.asarray(getattr(self, name), dtype=float) for name in STAT_FIELDS))
+        for name, column in zip(STAT_FIELDS, columns):
+            object.__setattr__(self, name, column.ravel())
+        b = self.bias
+        ok = (-0.5 <= b) & (b <= 0.5)
+        for name in STAT_FIELDS[1:]:
+            p = getattr(self, name)
+            ok &= (-ATOL <= p) & (p <= 1.0 + ATOL)
+        ok &= np.abs(self.p00 + self.p01 + self.p10 + self.p11 - 1.0) <= ATOL
+        ok &= self.p0_plus <= 0.5 + b + ATOL
+        ok &= self.p1_plus <= 0.5 - b + ATOL
+        if not ok.all():
+            self.row(int(np.argmin(ok)))  # the same checks on that point raise its message
+
+    def row(self, i: int) -> ObservedStatistics:
+        return ObservedStatistics(**{name: float(getattr(self, name)[i]) for name in STAT_FIELDS})
 
 
 def compute_statistics(attack: RestrictedAttack) -> ObservedStatistics:

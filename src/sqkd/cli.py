@@ -7,8 +7,12 @@ signals a protocol abort (or an attack file fails validation).
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import attacks, keyrate, protocol
 from .fileio import ParseError, fmt
@@ -18,6 +22,10 @@ EXIT_INPUT = 1
 EXIT_ABORT = 2
 
 MAX_GRID = 10**6
+
+#: grid points sweep evaluates and writes per pass; it bounds sweep's memory
+SWEEP_CHUNK = 4096
+_SWEEP_ROW = "%.12g,%.12g\n"  # the digits of fileio.fmt
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,18 +54,31 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in ("b", "q"):
             raise ValueError(f"sweep variable must be 'b' or 'q', got {self.variable!r}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.start > self.stop:
             raise ValueError(f"start={self.start!r} must not exceed stop={self.stop!r}")
         if not self.step > 0:
             raise ValueError(f"step must be positive, got {self.step!r}")
-        if self.grid_size() > MAX_GRID:
-            raise ValueError(f"grid size {self.grid_size()} exceeds the {MAX_GRID} limit")
+        span = (self.stop - self.start) / self.step + 1e-9  # inf when it overflows
+        if not span < MAX_GRID:
+            size = self.grid_size() if math.isfinite(span) else span
+            raise ValueError(f"grid size {size} exceeds the {MAX_GRID} limit")
 
     def grid_size(self) -> int:
         return int((self.stop - self.start) / self.step + 1e-9) + 1
 
-    def points(self) -> list[float]:
-        return [self.start + i * self.step for i in range(self.grid_size())]
+    def chunks(self):
+        """The grid points start + i * step, SWEEP_CHUNK of them at a time."""
+        n = self.grid_size()
+        for lo in range(0, n, SWEEP_CHUNK):
+            yield self.start + np.arange(lo, min(lo + SWEEP_CHUNK, n)) * self.step
+
+    def statistics(self, x) -> attacks.StatisticsColumns:
+        if self.variable == "q":
+            return keyrate.depolarizing_stats(self.fixed_value, x)
+        return keyrate.depolarizing_stats(x, self.fixed_value)
 
 
 def _statistics_from_args(args) -> attacks.ObservedStatistics:
@@ -86,17 +107,15 @@ def cmd_sweep(args) -> int:
         start=args.start, stop=args.stop, step=args.step,
         output_path=args.out,
     )
-    rows = []
-    for x in spec.points():
-        if spec.variable == "q":
-            stats = keyrate.depolarizing_stats(spec.fixed_value, x)
-        else:
-            stats = keyrate.depolarizing_stats(x, spec.fixed_value)
-        rows.append(f"{fmt(x)},{fmt(keyrate.key_rate_bound(stats).bound)}\n")
+    # a bad grid point is rejected before the file is opened
+    for x in spec.chunks():
+        spec.statistics(x)
     with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,f\n")
-        fh.writelines(rows)
-    print(f"rows={len(rows)}")
+        for x in spec.chunks():
+            f = keyrate.key_rate_bound(spec.statistics(x)).bound
+            fh.write(_SWEEP_ROW * x.size % tuple(np.column_stack((x, f)).ravel().tolist()))
+    print(f"rows={spec.grid_size()}")
     print(f"out={spec.output_path}")
     return EXIT_OK
 
@@ -177,7 +196,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_ABORT
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="sqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

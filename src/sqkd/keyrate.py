@@ -13,23 +13,24 @@ matching key bits:
 
     B = 1 - p_e_minus - p0_plus - p1_plus - sqrt(p01 p10).
 
-For a depolarizing reverse channel with parameter q everything collapses to
-the closed form f(b, q) implemented in depolarizing_bound().
+One numpy kernel evaluates the bound over columns of statistics; a single
+ObservedStatistics goes through the same kernel.  For a depolarizing reverse
+channel with parameter q everything collapses to the closed form f(b, q)
+implemented in depolarizing_bound(), kept as an independent scalar oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from . import fileio
-from .attacks import ObservedStatistics, _check_bias
+from .attacks import ObservedStatistics, StatisticsColumns, _check_bias
 from .fileio import ParseError
 from .qmath import binary_entropy, shannon_entropy
-
-
-def _clip01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,8 @@ class KeyRateReport:
     ``abort`` is set when the raw overlap bound B is non-positive (channel
     too noisy); the bound is then the diagnostic value computed with B = 0.
     ``lam`` is None in the degenerate case k1 = 0, whose h(lambda) term has
-    zero weight.
+    zero weight.  For StatisticsColumns every field is an array with one
+    entry per point, and ``lam`` is NaN where k1 = 0.
     """
 
     bound: float
@@ -53,6 +55,47 @@ class KeyRateReport:
     abort: bool
 
 
+def _libm(fn, x, *args) -> np.ndarray:
+    """fn(x_i, *args) for every element, through Python's libm bindings.
+
+    numpy's SIMD log2 and x**2 differ from libm by one ulp on a few tenths of
+    a percent of inputs; with libm the kernel gives the scalar formula's
+    doubles bit for bit, on every CPU.
+    """
+    x = np.asarray(x, dtype=float)
+    values = map(fn, x.ravel().tolist(), *(repeat(a) for a in args))
+    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
+
+
+def _entropy(x) -> np.ndarray:
+    """h(x) at every point; 0 at and beyond both ends of [0, 1], and at NaN."""
+    inner = (x > 0.0) & (x < 1.0)
+    x = np.where(inner, x, 0.5)
+    h = -x * _libm(math.log2, x) - (1.0 - x) * _libm(math.log2, 1.0 - x)
+    return np.where(inner, h, 0.0)
+
+
+def _overlap_bound(stats) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of bound_B: (B, clamped) at every point."""
+    raw = (
+        1.0
+        - stats.p_e_minus
+        - stats.p0_plus
+        - stats.p1_plus
+        - np.sqrt(np.maximum(stats.p01, 0.0) * np.maximum(stats.p10, 0.0))
+    )
+    ceiling = np.sqrt(np.maximum(stats.p00, 0.0) * np.maximum(stats.p11, 0.0))
+    clamped = raw > ceiling
+    return np.where(clamped, ceiling, raw), clamped
+
+
+def _lambda(p00, p11, B) -> np.ndarray:
+    """Array form of lambda_from; NaN or 1 where p00 + p11 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = 0.5 + np.sqrt(_libm(pow, p00 - p11, 2) + 4.0 * B * B) / (2.0 * (p00 + p11))
+    return np.minimum(np.maximum(lam, 0.5), 1.0)
+
+
 def bound_B(stats: ObservedStatistics) -> tuple[float, bool]:
     """Observable lower bound on alpha beta |<e00|e11>|.
 
@@ -61,17 +104,8 @@ def bound_B(stats: ObservedStatistics) -> tuple[float, bool]:
     non-positive raw value is returned as is, abort semantics are the
     caller's job.
     """
-    raw = (
-        1.0
-        - stats.p_e_minus
-        - stats.p0_plus
-        - stats.p1_plus
-        - math.sqrt(max(stats.p01, 0.0) * max(stats.p10, 0.0))
-    )
-    ceiling = math.sqrt(max(stats.p00, 0.0) * max(stats.p11, 0.0))
-    if raw > ceiling:
-        return ceiling, True
-    return raw, False
+    B, clamped = _overlap_bound(stats)
+    return float(B), bool(clamped)
 
 
 def lambda_from(p00: float, p11: float, B: float) -> float:
@@ -82,39 +116,42 @@ def lambda_from(p00: float, p11: float, B: float) -> float:
     """
     if B < 0:
         raise ValueError(f"B must be non-negative, got {B!r}")
-    total = p00 + p11
-    if total <= 0:
+    if p00 + p11 <= 0:
         raise ValueError("lambda is undefined when p00 + p11 = 0")
-    lam = 0.5 + math.sqrt((p00 - p11) ** 2 + 4.0 * B * B) / (2.0 * total)
-    return min(max(lam, 0.5), 1.0)
+    return float(_lambda(p00, p11, B))
 
 
-def key_rate_bound(stats: ObservedStatistics) -> KeyRateReport:
-    """Evaluate the key-rate lower bound for one set of statistics."""
-    B, clamped = bound_B(stats)
+def key_rate_bound(stats: ObservedStatistics | StatisticsColumns) -> KeyRateReport:
+    """Evaluate the key-rate lower bound at every point of a StatisticsColumns.
+
+    One ObservedStatistics goes through the same kernel as a batch of one
+    and comes back with float fields.
+    """
+    B, clamped = _overlap_bound(stats)
     # clamping only applies from above, so B <= 0 can only be the raw value
-    abort = not clamped and B <= 0.0
-    k1 = _clip01(stats.p00 + stats.p11)
-    k2 = _clip01(stats.p01 + stats.p10)
-    k0 = binary_entropy(k1)
-    h_a = binary_entropy(_clip01(stats.p00 + stats.p01))
-    if k1 == 0.0:
-        lam = None
-        h_lambda = 0.0
-    else:
-        lam = lambda_from(stats.p00, stats.p11, max(B, 0.0))
-        h_lambda = binary_entropy(lam)
-    bound = h_a - k0 - k2 - k1 * h_lambda
+    abort = ~clamped & (B <= 0.0)
+    k1 = np.clip(stats.p00 + stats.p11, 0.0, 1.0)
+    k2 = np.clip(stats.p01 + stats.p10, 0.0, 1.0)
+    k0 = _entropy(k1)
+    h_a = _entropy(stats.p00 + stats.p01)
+    lam = np.where(k1 == 0.0, np.nan, _lambda(stats.p00, stats.p11, np.maximum(B, 0.0)))
+    bound = h_a - k0 - k2 - k1 * _entropy(lam)
+    if isinstance(stats, StatisticsColumns):
+        return KeyRateReport(
+            bound=bound, B_lower=B, B_clamped=clamped, lam=lam,
+            k0=k0, k1=k1, k2=k2, h_A=h_a, abort=abort,
+        )
     return KeyRateReport(
-        bound=bound, B_lower=B, B_clamped=clamped, lam=lam,
-        k0=k0, k1=k1, k2=k2, h_A=h_a, abort=abort,
+        bound=float(bound), B_lower=float(B), B_clamped=bool(clamped),
+        lam=None if k1 == 0.0 else float(lam),
+        k0=float(k0), k1=float(k1), k2=float(k2), h_A=float(h_a), abort=bool(abort),
     )
 
 
 def entropy_terms(stats: ObservedStatistics) -> tuple[float, float]:
     """(S of the four-outcome key distribution, H(B|A)) for diagnostics."""
     s_bme = shannon_entropy([stats.p00, stats.p01, stats.p10, stats.p11])
-    h_b_given_a = s_bme - binary_entropy(_clip01(stats.p00 + stats.p01))
+    h_b_given_a = s_bme - float(_entropy(stats.p00 + stats.p01))
     return s_bme, h_b_given_a
 
 
@@ -130,11 +167,27 @@ def _check_depolarizing_args(b: float, q: float) -> tuple[float, float]:
     return b, q
 
 
-def depolarizing_stats(b: float, q: float) -> ObservedStatistics:
-    """Exact statistics when the reverse channel depolarizes with parameter q."""
-    b, q = _check_depolarizing_args(b, q)
-    root = math.sqrt(max(0.0, 1.0 - 4.0 * b * b))
-    return ObservedStatistics(
+def depolarizing_stats(b, q) -> ObservedStatistics | StatisticsColumns:
+    """Exact statistics when the reverse channel depolarizes with parameter q.
+
+    Two scalars give one ObservedStatistics.  Arrays broadcast together and
+    give StatisticsColumns; every point gets the scalar checks, and the first
+    bad point is rejected with the message a scalar call gives for it.
+    """
+    scalar = np.ndim(b) == 0 and np.ndim(q) == 0
+    if scalar:
+        b, q = _check_depolarizing_args(b, q)
+    else:
+        b, q = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(q, dtype=float))
+        b, q = b.ravel(), q.ravel()
+        ok = (-0.5 <= b) & (b <= 0.5) & (0.0 <= q) & (q <= 1.0)
+        # valid arguments cannot break a statistics invariant, so the first
+        # bad argument is the first bad point
+        if not ok.all():
+            i = int(np.argmin(ok))
+            _check_depolarizing_args(b[i], q[i])
+    root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * b * b))
+    return (ObservedStatistics if scalar else StatisticsColumns)(
         bias=b,
         p00=(0.5 + b) * (1.0 - 0.5 * q),
         p01=(0.5 - b) * 0.5 * q,
@@ -158,8 +211,8 @@ def depolarizing_bound(b: float, q: float) -> float:
     big_b = max(0.0, (0.5 - 0.75 * q) * root)
     lam = min(1.0, 0.5 + math.sqrt(b * b * (2.0 - q) ** 2 + 4.0 * big_b * big_b) / (2.0 - q))
     return (
-        binary_entropy(_clip01(0.5 + b - b * q))
-        - binary_entropy(_clip01(1.0 - 0.5 * q))
+        binary_entropy(0.5 + b - b * q)
+        - binary_entropy(1.0 - 0.5 * q)
         - 0.5 * q
         - (1.0 - 0.5 * q) * binary_entropy(lam)
     )
@@ -172,7 +225,8 @@ def x_error_from_bias(b: float) -> float:
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Shrink a bracket with f(lo) > 0 >= f(hi) until it is narrower than tol.
+    """Shrink a bracket with f(lo) > 0 >= f(hi) until it is narrower than tol
+    or its ends are adjacent doubles.
 
     Returns the midpoint of the last bracket, except when f stayed positive
     at every probe and is exactly 0 at the upper end: that end is the zero.
@@ -180,6 +234,8 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     end = hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if f(mid) > 0.0:
             lo = mid
         else:
@@ -203,18 +259,26 @@ def _positive_boundary(f, lo: float, hi: float, coarse: float, tol: float) -> fl
     return None
 
 
+#: step of the threshold searches' coarse scan; the bisection tolerance may not exceed it
+COARSE_STEP = 0.01
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol <= COARSE_STEP:
+        raise ValueError(f"tol must lie in (0, {COARSE_STEP}], got {tol!r}")
+
+
 def threshold_q(b: float, tol: float = 1e-4) -> float | None:
     """Noise threshold: the q* below which f(b, .) stays positive.
 
     Returns None when f(b, 0) <= 0.  The search runs on (0, 2/3), the region
     where the overlap bound B can be positive.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     f = lambda q: depolarizing_bound(b, q)
     if f(0.0) <= 0.0:
         return None
-    return _positive_boundary(f, 0.0, 2.0 / 3.0, coarse=0.01, tol=tol)
+    return _positive_boundary(f, 0.0, 2.0 / 3.0, coarse=COARSE_STEP, tol=tol)
 
 
 def threshold_b(q: float, tol: float = 1e-4) -> float | None:
@@ -228,12 +292,11 @@ def threshold_b(q: float, tol: float = 1e-4) -> float | None:
     h(1/2 + b) is positive on the whole open interval and the reported
     boundary is 1/2.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     f = lambda b: depolarizing_bound(b, q)
     if f(0.0) <= 0.0:
         return None
-    return _positive_boundary(f, 0.0, 0.5, coarse=0.01, tol=tol)
+    return _positive_boundary(f, 0.0, 0.5, coarse=COARSE_STEP, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ class ProtocolConfig:
             raise ValueError(f"raw key length n must be a positive integer, got {self.n!r}")
         if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         for name in ("p_sift", "p_z"):
             p = float(getattr(self, name))
             if not 0.0 < p < 1.0:

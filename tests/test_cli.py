@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from sqkd import cli
-from sqkd.attacks import identity_attack, random_attack, save_attack
-from sqkd.keyrate import depolarizing_stats, save_statistics
+from sqkd.attacks import STAT_FIELDS, StatisticsColumns, identity_attack, random_attack, save_attack
+from sqkd.keyrate import depolarizing_stats, format_report, key_rate_bound, load_statistics, save_statistics
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +155,107 @@ def test_sweep_input_errors(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--stop", "inf"), ("--step", "inf"), ("--start", "-inf"), ("--step", "nan")])
+def test_sweep_rejects_non_finite_grid_flags(capsys, tmp_path, flag, value):
+    args = {"--start": "0", "--stop": "1", "--step": "0.01", flag: value}
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--var", "q", "--fixed", "0", *[f"{k}={v}" for k, v in args.items()],
+        "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"sqkd: error: {flag[2:]} must be finite, got {float(value)!r}"]
+    assert not out_path.exists()
+
+
+def test_sweep_rejects_a_grid_whose_size_overflows(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "sweep", "--var", "q", "--fixed", "0",
+        "--start=-1e308", "--stop", "1e308", "--step", "1", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert err.splitlines() == ["sqkd: error: grid size inf exceeds the 1000000 limit"]
+
+
+def test_sweep_bad_grid_point_writes_no_file(capsys, tmp_path):
+    # the first point past b = 1/2 sits in the third chunk; nothing is written
+    out_path = tmp_path / "x.csv"
+    step = 0.5 / 9000
+    code, _, err = run_cli(
+        capsys, "sweep", "--var", "b", "--fixed", "0.1",
+        "--start", "0", "--stop", "0.6", "--step", repr(step), "--out", str(out_path))
+    first_bad = next(x for x in (i * step for i in range(20000)) if x > 0.5)
+    assert code == 1
+    assert err.splitlines() == [f"sqkd: error: bias must lie in [-1/2, 1/2], got {first_bad!r}"]
+    assert not out_path.exists()
+
+
+def _bound_line(b, q):
+    """The bound=... line `sqkd bound --b B --q Q` prints."""
+    return format_report(key_rate_bound(depolarizing_stats(b, q))).splitlines()[0]
+
+
+@pytest.mark.parametrize("n, var, fixed", [(4095, "q", 0.1), (4096, "b", 0.3), (4097, "q", -0.3), (8193, "b", 0.0)])
+def test_sweep_across_chunk_boundaries_matches_bound_point_by_point(capsys, tmp_path, n, var, fixed):
+    # q grids run to 1 and so cover the abort region q > 2/3; at q = 0
+    # round-off fires the Cauchy-Schwarz cap at some b
+    start, stop = (0.0, 1.0) if var == "q" else (-0.5, 0.5)
+    step = (stop - start) / (n - 1)
+    out_path = tmp_path / "grid.csv"
+    code, out, _ = run_cli(
+        capsys, "sweep", "--var", var, "--fixed", repr(fixed), "--start", repr(start),
+        "--stop", repr(stop), "--step", repr(step), "--out", str(out_path))
+    assert code == 0 and out == f"rows={n}\nout={out_path}\n"
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "x,f" and len(lines) == n + 1
+    xs = [start + i * step for i in range(n)]
+    grid = key_rate_bound(depolarizing_stats(*((fixed, np.array(xs)) if var == "q" else (np.array(xs), fixed))))
+    assert grid.abort.any() if var == "q" else grid.B_clamped.any() == (fixed == 0.0)
+    for x, line in zip(xs, lines[1:]):
+        b, q = (fixed, x) if var == "q" else (x, fixed)
+        assert line == f"{x:.12g},{_bound_line(b, q)[len('bound='):]}"
+    # and through the command itself at the chunk edges
+    for i in sorted({0, 1, 4094, 4095, 4096, 8191, 8192, n - 1} & set(range(n))):
+        b, q = (fixed, xs[i]) if var == "q" else (xs[i], fixed)
+        _, out, _ = run_cli(capsys, "bound", "--b", repr(b), "--q", repr(q))
+        assert out.splitlines()[0] == f"bound={lines[i + 1].split(',')[1]}"
+
+
+def test_sweep_at_the_grid_cap_keeps_memory_bounded(tmp_path):
+    # getrusage's peak RSS survives fork and exec, so a child of this large
+    # test process would report this process's peak; a small interpreter in
+    # between starts the sweep and reads the peak of its only child
+    out_path = tmp_path / "cap.csv"
+    sweep = (
+        "import sys; from sqkd import cli; sys.exit(cli.main(['sweep', '--var', 'q', '--fixed', '0.1',"
+        f" '--start', '0', '--stop', '1', '--step', {repr(1 / 999999)!r}, '--out', {str(out_path)!r}]))"
+    )
+    parent = (
+        "import resource, subprocess, sys\n"
+        f"subprocess.run([sys.executable, '-c', {sweep!r}], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-c", parent], capture_output=True, text=True, timeout=120,
+                            check=True, env={**os.environ, "PYTHONPATH": src})
+    max_rss_kb = int(result.stdout)
+    assert max_rss_kb < 60 * 1024
+    with open(out_path, "rb") as fh:
+        assert sum(1 for _ in fh) == 10**6 + 1
+
+
+def test_bound_from_stats_with_no_matching_key_bits(capsys, tmp_path):
+    # p00 + p11 = 0: lambda is undefined and the batched row carries NaN
+    path = tmp_path / "stats.txt"
+    path.write_text("b=0\np00=0\np01=0.5\np10=0.5\np11=0\np_e_minus=0\np0_plus=0.25\np1_plus=0.25\n")
+    code, out, _ = run_cli(capsys, "bound", "--stats", str(path))
+    assert code == 2  # B = 0 as well: the channel aborts
+    values = kv(out)
+    assert values["lambda"] == "none" and values["k1"] == "0"
+    stats = load_statistics(path)
+    batch = key_rate_bound(StatisticsColumns(**{name: [getattr(stats, name)] * 3 for name in STAT_FIELDS}))
+    assert np.isnan(batch.lam).all()
+    assert [f"{f:.12g}" for f in batch.bound] == [values["bound"]] * 3
+
+
 # --------------------------------------------------------------- threshold
 
 
@@ -185,6 +290,12 @@ def test_threshold_none_when_always_negative(capsys):
     code, out, _ = run_cli(capsys, "threshold", "--fix", "q=0.5")
     assert code == 0
     assert kv(out)["b_star"] == "none"
+
+
+def test_threshold_rejects_infinite_tol(capsys):
+    code, out, err = run_cli(capsys, "threshold", "--fix", "b=0", "--tol", "inf")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sqkd: error: tol must lie in (0, 0.01], got inf"]
 
 
 def test_threshold_bad_fix_flag(capsys):
@@ -243,6 +354,13 @@ def test_simulate_input_errors(capsys, tmp_path):
     assert code == 1
 
 
+def test_simulate_rejects_infinite_delta(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "1000", "--seed", "1", "--q", "0.05", "--b", "0", "--delta", "inf")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sqkd: error: delta must be positive and finite, got inf"]
+
+
 # ---------------------------------------------------------------- validate
 
 
@@ -283,6 +401,23 @@ def test_validate_parse_error(capsys, tmp_path):
 
 
 # ------------------------------------------------------------------- misc
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    stats = tmp_path / "stats.txt"
+    save_statistics(depolarizing_stats(0.2, 0.1), stats)
+    calls = [("bound", "--b", "0.1", "--q", "0.05"), ("bound", "--stats", str(stats)),
+             ("threshold", "--fix", "q=0.1"), ("bound", "--b", "0", "--q", "0.7")]
+    first = [run_cli(capsys, *argv) for argv in calls]
+    # a bad flag (exit 1) in between leaves nothing behind for the next call
+    code, out, err = run_cli(capsys, "bound", "--b", "0.1", "--bogus", "1")
+    assert code == 1 and out == "" and "unrecognized arguments: --bogus" in err
+    code, _, _ = run_cli(capsys, "bound", "--q")
+    assert code == 1
+    again = [run_cli(capsys, *argv) for argv in calls]
+    assert again == first
+    assert [code for code, _, _ in first] == [0, 0, 0, 2]
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -1,13 +1,21 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqkd.attacks import ObservedStatistics, compute_statistics, random_attack
+from sqkd.attacks import (
+    STAT_FIELDS as COLUMN_FIELDS,
+    ObservedStatistics,
+    StatisticsColumns,
+    compute_statistics,
+    random_attack,
+)
 from sqkd.fileio import ParseError
 from sqkd.keyrate import (
+    COARSE_STEP,
     bound_B,
     depolarizing_bound,
     depolarizing_stats,
@@ -147,6 +155,129 @@ def test_report_internal_identities():
             assert 0.5 <= report.lam <= 1.0
 
 
+# ---------------------------------------------------------- batched kernel
+
+REPORT_FIELDS = ("bound", "B_lower", "B_clamped", "lam", "k0", "k1", "k2", "h_A", "abort")
+
+# the clamp, k1 = 0 (lambda undefined) and a sign-bit corner, next to ordinary points
+CORNER_STATS = [
+    ObservedStatistics(bias=0.0, p00=0.5, p01=0.25, p10=0.25, p11=0.0,
+                       p_e_minus=0.0, p0_plus=0.0, p1_plus=0.0),
+    ObservedStatistics(bias=0.0, p00=0.0, p01=0.5, p10=0.5, p11=0.0,
+                       p_e_minus=0.0, p0_plus=0.25, p1_plus=0.25),
+    ObservedStatistics(bias=0.0, p00=-0.0, p01=0.5, p10=0.5, p11=-0.0,
+                       p_e_minus=0.3, p0_plus=0.25, p1_plus=0.25),
+    # clamped; (p00 - p11)**2 rounds differently through libm pow and x*x,
+    # which moves lambda between 1 and 1 - 1 ulp
+    ObservedStatistics(bias=0.0, p00=0.5895080488549757, p01=0.09590841958795485,
+                       p10=0.2551881455122541, p11=0.059395386044815396,
+                       p_e_minus=0.0, p0_plus=0.0, p1_plus=0.0),
+    IDENTITY_STATS,
+]
+
+
+def _sample_stats():
+    rng = np.random.default_rng(41)
+    stats = [compute_statistics(random_attack(rng, ancilla_dim=1 + k % 4)) for k in range(200)]
+    # q > 2/3 aborts; at q = 0 the cap fires on round-off for some b
+    stats += [depolarizing_stats(b, q) for b in np.linspace(-0.5, 0.5, 41) for q in (0.0, 0.1, 0.19, 0.7, 1.0)]
+    return stats + CORNER_STATS
+
+
+def _columns(stats):
+    return StatisticsColumns(**{name: [getattr(s, name) for s in stats] for name in COLUMN_FIELDS})
+
+
+def _reference_report(stats):
+    """The bound written out point by point with math and qmath, as a
+    scalar formula; the kernel must give its doubles bit for bit."""
+    raw = 1.0 - stats.p_e_minus - stats.p0_plus - stats.p1_plus - math.sqrt(
+        max(stats.p01, 0.0) * max(stats.p10, 0.0))
+    ceiling = math.sqrt(max(stats.p00, 0.0) * max(stats.p11, 0.0))
+    big_b, clamped = (ceiling, True) if raw > ceiling else (raw, False)
+    k1 = min(max(stats.p00 + stats.p11, 0.0), 1.0)
+    k2 = min(max(stats.p01 + stats.p10, 0.0), 1.0)
+    h_a = binary_entropy(min(max(stats.p00 + stats.p01, 0.0), 1.0))
+    lam = None
+    h_lam = 0.0
+    if k1 != 0.0:
+        b_pos = max(big_b, 0.0)
+        lam = 0.5 + math.sqrt((stats.p00 - stats.p11) ** 2 + 4.0 * b_pos * b_pos) / (
+            2.0 * (stats.p00 + stats.p11))
+        lam = min(max(lam, 0.5), 1.0)
+        h_lam = binary_entropy(lam)
+    k0 = binary_entropy(k1)
+    return dict(bound=h_a - k0 - k2 - k1 * h_lam, B_lower=big_b, B_clamped=clamped, lam=lam,
+                k0=k0, k1=k1, k2=k2, h_A=h_a, abort=not clamped and big_b <= 0.0)
+
+
+def _same_bits(a, b):
+    return a is b or (type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes())
+
+
+def test_kernel_gives_the_scalar_formula_bit_for_bit():
+    for stats in _sample_stats():
+        got = key_rate_bound(stats)
+        want = _reference_report(stats)
+        for name in REPORT_FIELDS:
+            assert _same_bits(getattr(got, name), want[name]), (name, stats)
+
+
+def test_batch_matches_one_at_a_time_bit_for_bit():
+    stats = _sample_stats()
+    batch = key_rate_bound(_columns(stats))
+    assert batch.abort.any() and batch.B_clamped.any() and np.isnan(batch.lam).any()
+    for i, one in enumerate(stats):
+        single = key_rate_bound(one)
+        for name in REPORT_FIELDS:
+            value = getattr(batch, name)[i].item()
+            if name == "lam" and single.lam is None:
+                assert math.isnan(value)
+            else:
+                assert _same_bits(value, getattr(single, name)), (name, i)
+
+
+def test_depolarizing_stats_columns_equal_scalar_calls():
+    b = np.linspace(-0.5, 0.5, 21)
+    for q in (0.0, 0.3, 1.0):
+        columns = depolarizing_stats(b, q)
+        assert isinstance(columns, StatisticsColumns) and columns.p00.shape == b.shape
+        for i, bi in enumerate(b.tolist()):
+            assert columns.row(i) == depolarizing_stats(bi, q)
+
+
+@pytest.mark.parametrize("b, q", [
+    ([0.1, 0.2, 0.6, 0.7], 0.1),
+    (0.1, [0.0, 0.5, float("nan"), 2.0]),
+    ([0.0, 0.0, float("inf")], [0.1, -0.1, 0.1]),
+    ([0.0, 0.7], [1.5, 0.1]),
+])
+def test_depolarizing_stats_columns_reject_the_first_bad_point(b, q):
+    bb, qq = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(q, dtype=float))
+    first = next(i for i in range(bb.size) if not (-0.5 <= bb[i] <= 0.5 and 0.0 <= qq[i] <= 1.0))
+    with pytest.raises(ValueError) as scalar:
+        depolarizing_stats(float(bb[first]), float(qq[first]))
+    with pytest.raises(ValueError) as batch:
+        depolarizing_stats(b, q)
+    assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bias", 0.6), ("p00", -0.1), ("p11", 1.2), ("p_e_minus", float("nan")),
+    ("p01", 0.2), ("p0_plus", 0.76), ("p1_plus", 0.51),
+])
+def test_statistics_columns_reject_the_first_bad_point(field, value):
+    good = {name: getattr(IDENTITY_STATS, name) for name in COLUMN_FIELDS}
+    bad = {**good, field: value}
+    also_bad = {**good, "p_e_minus": 2.0}
+    points = [good, good, bad, also_bad]
+    with pytest.raises(ValueError) as scalar:
+        ObservedStatistics(**bad)
+    with pytest.raises(ValueError) as batch:
+        StatisticsColumns(**{name: [p[name] for p in points] for name in COLUMN_FIELDS})
+    assert str(batch.value) == str(scalar.value)
+
+
 # ------------------------------------------------------------ closed forms
 
 
@@ -230,6 +361,27 @@ def test_threshold_tolerance_is_respected():
     assert abs(fine - 0.19378497877) <= 1e-5
     with pytest.raises(ValueError):
         threshold_q(0.0, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-4, 2 * COARSE_STEP])
+def test_threshold_tol_must_be_finite_and_at_most_the_coarse_step(tol):
+    for search in (threshold_q, threshold_b):
+        with pytest.raises(ValueError, match="tol must lie in"):
+            search(0.1, tol=tol)
+
+
+def test_threshold_stops_at_ulp_resolution():
+    # a tolerance below the spacing of doubles near q* must still terminate
+    t0 = time.perf_counter()
+    q_star = threshold_q(0.0, 1e-20)
+    assert time.perf_counter() - t0 < 1.0
+    f = lambda q: depolarizing_bound(0.0, q)
+    below, above = np.nextafter(q_star, 0.0), np.nextafter(q_star, 1.0)
+    assert (f(q_star) > 0.0 >= f(above)) or (f(below) > 0.0 >= f(q_star))
+    assert abs(q_star - threshold_q(0.0, 1e-12)) <= 1e-12
+    # at q = 0 the computed h(1/2 + b) already rounds to h(1) = 0 one ulp
+    # below b = 1/2, so at this resolution the crossing lands there
+    assert 0.5 - 1e-15 < threshold_b(0.0, 1e-20) <= 0.5
 
 
 # ------------------------------------------------------------------ Q_X
