@@ -8,9 +8,9 @@ bound recomputed from the estimates with the closed form f(b, q).
 
 import argparse
 
-from sqkd.attacks import attack_from_kraus, compute_statistics, depolarizing_channel
+from sqkd.attacks import STAT_FIELDS, attack_from_kraus, compute_statistics, depolarizing_channel
 from sqkd.keyrate import depolarizing_bound, key_rate_bound
-from sqkd.protocol import EstimatedStatistics, ProtocolConfig, run_protocol
+from sqkd.protocol import ProtocolConfig, run_protocol
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
             tr = run_protocol(cfg, attack)
             analytic = compute_statistics(attack)
             print(f"\nb={b}  q={q}  rounds={tr.n_rounds}  abort={tr.abort_reason}")
-            for name in EstimatedStatistics.FIELDS:
+            for name in STAT_FIELDS:
                 est = getattr(tr.estimated, name)
                 true = b if name == "bias" else getattr(analytic, name)
                 z = abs(est.value - true) / est.se if est.se else 0.0

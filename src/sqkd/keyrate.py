@@ -228,19 +228,23 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     """Shrink a bracket with f(lo) > 0 >= f(hi) until it is narrower than tol
     or its ends are adjacent doubles.
 
-    Returns the midpoint of the last bracket, except when f stayed positive
-    at every probe and is exactly 0 at the upper end: that end is the zero.
+    Returns the midpoint of the last bracket, except when no probe was
+    negative and f is exactly 0 at the upper end: then f has only rounded to
+    0 near that end, and the end itself is the zero.
     """
     end = hi
+    negative = False
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if f(mid) > 0.0:
+        value = f(mid)
+        if value > 0.0:
             lo = mid
         else:
             hi = mid
-    if hi == end and f(end) == 0.0:
+            negative = negative or value < 0.0
+    if not negative and f(end) == 0.0:
         return end
     return 0.5 * (lo + hi)
 

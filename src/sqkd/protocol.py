@@ -4,8 +4,16 @@ Each round Alice sends |+>, Bob either measures in Z and resends his result
 (SIFT) or reflects the state untouched (CTRL), and Alice measures the
 returning state in Z or X.  Under a collective attack the rounds are i.i.d.,
 so every round is sampled from its exact outcome distribution instead of
-tracking a global state.  Round i consumes row i of one pre-drawn block of
-uniforms, which makes transcripts reproducible and rounds independent.
+tracking a global state.  Round i consumes the i-th four uniforms of one
+Philox stream, drawn CHUNK rounds at a time; a block-wise draw yields the
+same doubles as one large draw, so transcripts are reproducible whatever the
+block size.
+
+A round is stored as one int8 cell code, ``2 * branch + second``.  The branch
+(see ``_BRANCHES``) fixes Bob's choice, Alice's basis and, on SIFT rounds,
+Bob's bit; ``second`` is 1 when Alice saw the second outcome of her basis
+(1 or -).  Cells 0-3 are the SIFT-Z rounds, where Bob's bit is ``cell >> 1``
+and Alice's is ``cell & 1``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .attacks import ObservedStatistics, RestrictedAttack
+from .attacks import STAT_FIELDS, ObservedStatistics, RestrictedAttack
 
 SIFT = "SIFT"
 CTRL = "CTRL"
@@ -27,11 +35,31 @@ ABORT_TOO_FEW_SIFT_Z = "TOO_FEW_SIFT_Z"
 ABORT_CTRL_X_NOISE = "CTRL_X_NOISE"
 ABORT_TEST_BIT_NOISE = "TEST_BIT_NOISE"
 
-# alice_out codes: Z basis rounds use 0/1, X basis rounds use 2 (+) and 3 (-)
-OUT_ZERO, OUT_ONE, OUT_PLUS, OUT_MINUS = 0, 1, 2, 3
-OUTCOME_LABELS = ("0", "1", "+", "-")
-
 TRANSCRIPT_HEADER = "round,bob_choice,alice_basis,bob_bit,alice_outcome"
+
+#: rounds drawn, classified and written per block; bounds the working memory
+CHUNK = 4096
+#: the most rounds one run may have; larger requests are rejected before allocation
+MAX_ROUNDS = 10**8
+
+# (bob_choice, alice_basis, bob_bit) of each branch, in branch order
+_BRANCHES = (
+    (SIFT, BASIS_Z, "0"),
+    (SIFT, BASIS_Z, "1"),
+    (SIFT, BASIS_X, "0"),
+    (SIFT, BASIS_X, "1"),
+    (CTRL, BASIS_Z, ""),
+    (CTRL, BASIS_X, ""),
+)
+_OUTCOMES = {BASIS_Z: ("0", "1"), BASIS_X: ("+", "-")}
+# the CSV row of a round after its index, by cell code
+_ROW_SUFFIX = tuple(
+    f",{choice},{basis},{bit},{outcome}\n"
+    for choice, basis, bit in _BRANCHES
+    for outcome in _OUTCOMES[basis]
+)
+# branch by 4 * sift + 2 * (alice_basis == X) + bob_bit; CTRL rounds ignore the bit
+_BRANCH_OF = np.array([4, 4, 5, 5, 0, 1, 2, 3], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -58,18 +86,16 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {p!r}")
         if not 0.0 < self.p_t < 0.5:
             raise ValueError(f"error threshold p_t must lie in (0, 1/2), got {self.p_t!r}")
+        # n is checked first: 8 * n cannot overflow a float once n <= MAX_ROUNDS
+        if self.n > MAX_ROUNDS or 8 * self.n * (1.0 + self.delta) > MAX_ROUNDS:
+            raise ValueError(
+                f"n={self.n!r} with delta={self.delta!r} needs more than {MAX_ROUNDS} rounds,"
+                " the most one run may have"
+            )
 
     @property
     def n_rounds(self) -> int:
         return math.ceil(8 * self.n * (1.0 + self.delta))
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    bob_choice: str
-    alice_basis: str
-    bob_bit: int | None
-    alice_outcome: str
 
 
 @dataclass(frozen=True)
@@ -95,10 +121,8 @@ class EstimatedStatistics:
     p0_plus: Estimate | None
     p1_plus: Estimate | None
 
-    FIELDS = ("bias", "p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus")
-
     def complete(self) -> bool:
-        return all(getattr(self, name) is not None for name in self.FIELDS)
+        return all(getattr(self, name) is not None for name in STAT_FIELDS)
 
     def to_observed(self) -> ObservedStatistics:
         """Build ObservedStatistics from the point estimates.
@@ -107,61 +131,86 @@ class EstimatedStatistics:
         pushes the estimates outside the statistics invariants.
         """
         if not self.complete():
-            missing = [name for name in self.FIELDS if getattr(self, name) is None]
+            missing = [name for name in STAT_FIELDS if getattr(self, name) is None]
             raise ValueError(f"estimates unavailable for: {', '.join(missing)}")
-        return ObservedStatistics(**{name: getattr(self, name).value for name in self.FIELDS})
+        return ObservedStatistics(**{name: getattr(self, name).value for name in STAT_FIELDS})
+
+
+def _freq(count: int, m: int) -> Estimate | None:
+    if not m:
+        return None
+    p = count / m
+    return Estimate(value=p, se=math.sqrt(p * (1.0 - p) / m), n_samples=m)
 
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
     """Outcome of one protocol run.
 
-    Per-round data is stored in column arrays (one entry per round); use
-    ``round(i)`` or ``iter_rounds()`` for a record view.  ``bob_bit`` is -1 on
-    CTRL rounds.  Error rates are NaN when their conditioning class is empty
-    or the corresponding protocol step was never reached.
+    ``cells`` holds the cell code of every round (see the module docstring)
+    and ``table`` the number of rounds in each of the 12 cells; every count,
+    rate and estimate is read from ``table``.  Error rates are NaN when their
+    conditioning class is empty or the corresponding protocol step was never
+    reached.
     """
 
-    bob_sift: np.ndarray
-    alice_z: np.ndarray
-    bob_bit: np.ndarray
-    alice_out: np.ndarray
-    sift_z_count: int
-    ctrl_x_error_rate: float
+    cells: np.ndarray
+    table: np.ndarray
     test_bit_error_rate: float
     test_rounds: np.ndarray
     raw_key_alice: np.ndarray | None
     raw_key_bob: np.ndarray | None
     abort_reason: str | None
-    estimated: EstimatedStatistics
 
     @property
     def n_rounds(self) -> int:
-        return self.bob_sift.size
+        return self.cells.size
+
+    @property
+    def sift_z_count(self) -> int:
+        return int(self.table[0:4].sum())
 
     @property
     def sift_x_count(self) -> int:
-        return int(np.count_nonzero(self.bob_sift & ~self.alice_z))
+        return int(self.table[4:8].sum())
 
     @property
     def ctrl_z_count(self) -> int:
-        return int(np.count_nonzero(~self.bob_sift & self.alice_z))
+        return int(self.table[8:10].sum())
 
     @property
     def ctrl_x_count(self) -> int:
-        return int(np.count_nonzero(~self.bob_sift & ~self.alice_z))
+        return int(self.table[10:12].sum())
 
-    def round(self, i: int) -> RoundRecord:
-        sift = bool(self.bob_sift[i])
-        return RoundRecord(
-            bob_choice=SIFT if sift else CTRL,
-            alice_basis=BASIS_Z if self.alice_z[i] else BASIS_X,
-            bob_bit=int(self.bob_bit[i]) if sift else None,
-            alice_outcome=OUTCOME_LABELS[self.alice_out[i]],
+    @property
+    def ctrl_x_error_rate(self) -> float:
+        n_cx = self.ctrl_x_count
+        return int(self.table[11]) / n_cx if n_cx else math.nan
+
+    @property
+    def estimated(self) -> EstimatedStatistics:
+        """Frequency estimates of the observable statistics.
+
+        The raw-key probabilities are conditioned on the measure-and-Z rounds,
+        the bias on all measured rounds, p_e_minus on reflected X rounds and
+        p0_plus / p1_plus (jointly with Bob's bit) on measure-and-X rounds.
+        Empty conditioning classes yield None fields rather than fabricated
+        values.
+        """
+        t = self.table.tolist()
+        m_sift, m_sz, m_sx, m_cx = sum(t[0:8]), sum(t[0:4]), sum(t[4:8]), t[10] + t[11]
+        frac0 = _freq(t[0] + t[1] + t[4] + t[5], m_sift)
+        bias = None if frac0 is None else Estimate(value=frac0.value - 0.5, se=frac0.se, n_samples=m_sift)
+        return EstimatedStatistics(
+            bias=bias,
+            p00=_freq(t[0], m_sz),
+            p01=_freq(t[2], m_sz),
+            p10=_freq(t[1], m_sz),
+            p11=_freq(t[3], m_sz),
+            p_e_minus=_freq(t[11], m_cx),
+            p0_plus=_freq(t[4], m_sx),
+            p1_plus=_freq(t[6], m_sx),
         )
-
-    def iter_rounds(self):
-        return (self.round(i) for i in range(self.n_rounds))
 
     def summary_lines(self) -> list[str]:
         """Key-value summary: counts, error rates, abort and the estimates."""
@@ -179,8 +228,9 @@ class ProtocolTranscript:
             f"test_bit_error_rate={num(self.test_bit_error_rate)}",
             f"abort={self.abort_reason or 'none'}",
         ]
-        for name in EstimatedStatistics.FIELDS:
-            est = getattr(self.estimated, name)
+        estimated = self.estimated
+        for name in STAT_FIELDS:
+            est = getattr(estimated, name)
             if est is None:
                 lines.append(f"{name}=none")
             else:
@@ -190,50 +240,14 @@ class ProtocolTranscript:
 
     def to_csv(self, path) -> None:
         """Write one row per round plus the summary block as '#' comments."""
-        bit = self.bob_bit
-        out = self.alice_out
+        suffix = _ROW_SUFFIX
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRANSCRIPT_HEADER + "\n")
-            for i in range(self.n_rounds):
-                if self.bob_sift[i]:
-                    choice, bob = SIFT, str(int(bit[i]))
-                else:
-                    choice, bob = CTRL, ""
-                basis = BASIS_Z if self.alice_z[i] else BASIS_X
-                fh.write(f"{i},{choice},{basis},{bob},{OUTCOME_LABELS[out[i]]}\n")
+            for start in range(0, self.n_rounds, CHUNK):
+                block = self.cells[start:start + CHUNK].tolist()
+                fh.write("".join([f"{i}{suffix[c]}" for i, c in enumerate(block, start)]))
             for line in self.summary_lines():
                 fh.write(f"# {line}\n")
-
-
-def sample_outcome(dist, rng: np.random.Generator):
-    """Inverse-CDF draw of one label from ``[(label, probability), ...]``."""
-    if not dist:
-        raise ValueError("empty distribution")
-    labels = [label for label, _ in dist]
-    probs = np.array([p for _, p in dist], dtype=float)
-    if np.any(probs < -1e-12):
-        raise ValueError(f"negative probability in distribution: {probs.min()!r}")
-    if abs(float(probs.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {float(probs.sum())!r}")
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    return labels[min(idx, len(labels) - 1)]
-
-
-def _outcome_probabilities(attack: RestrictedAttack) -> dict[str, float]:
-    """Per-branch probability of the first outcome label (0 for Z, + for X)."""
-    e00, e01, e10, e11 = attack.e00, attack.e01, attack.e10, attack.e11
-    gm = attack.g_minus()
-    reflected = attack.alpha * e00 + attack.beta * e10  # qubit collapses to 0
-    probs = {
-        "sift_z_bob0": float(np.vdot(e00, e00).real),
-        "sift_z_bob1": float(np.vdot(e10, e10).real),
-        "sift_x_bob0": 0.5 + float(np.vdot(e00, e01).real),
-        "sift_x_bob1": 0.5 + float(np.vdot(e10, e11).real),
-        "ctrl_z": float(np.vdot(reflected, reflected).real),
-        "ctrl_x": 1.0 - float(np.vdot(gm, gm).real),
-    }
-    return {key: min(max(p, 0.0), 1.0) for key, p in probs.items()}
 
 
 def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTranscript:
@@ -245,126 +259,61 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     n = cfg.n
     n_rounds = cfg.n_rounds
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    u = rng.random((n_rounds, 4))
 
-    bob_sift = u[:, 0] < cfg.p_sift
-    alice_z = u[:, 1] < cfg.p_z
-    bob_bit = np.full(n_rounds, -1, dtype=np.int8)
-    bob_bit[bob_sift] = (u[bob_sift, 2] >= 0.5 + attack.bias).astype(np.int8)
+    # probability of the first outcome (0 for Z, + for X) on each branch
+    e00, e01, e10, e11 = attack.e00, attack.e01, attack.e10, attack.e11
+    gm = attack.g_minus()
+    reflected = attack.alpha * e00 + attack.beta * e10  # qubit collapses to 0
+    p_first = np.clip([
+        np.vdot(e00, e00).real,
+        np.vdot(e10, e10).real,
+        0.5 + np.vdot(e00, e01).real,
+        0.5 + np.vdot(e10, e11).real,
+        np.vdot(reflected, reflected).real,
+        1.0 - np.vdot(gm, gm).real,
+    ], 0.0, 1.0)
 
-    pr = _outcome_probabilities(attack)
-    p_first = np.empty(n_rounds, dtype=float)
-    sz = bob_sift & alice_z
-    sx = bob_sift & ~alice_z
-    bob0 = bob_bit == 0
-    p_first[sz & bob0] = pr["sift_z_bob0"]
-    p_first[sz & ~bob0] = pr["sift_z_bob1"]
-    p_first[sx & bob0] = pr["sift_x_bob0"]
-    p_first[sx & ~bob0] = pr["sift_x_bob1"]
-    p_first[~bob_sift & alice_z] = pr["ctrl_z"]
-    p_first[~bob_sift & ~alice_z] = pr["ctrl_x"]
+    bit_cut = 0.5 + attack.bias
+    cells = np.empty(n_rounds, dtype=np.int8)
+    table = np.zeros(12, dtype=np.int64)
+    for start in range(0, n_rounds, CHUNK):
+        u = rng.random((min(CHUNK, n_rounds - start), 4))
+        packed = 4 * (u[:, 0] < cfg.p_sift) + 2 * (u[:, 1] >= cfg.p_z) + (u[:, 2] >= bit_cut)
+        branch = _BRANCH_OF[packed]
+        block = 2 * branch + (u[:, 3] >= p_first[branch])
+        cells[start:start + block.size] = block
+        table += np.bincount(block, minlength=12)
 
-    first = u[:, 3] < p_first
-    alice_out = np.where(
-        alice_z,
-        np.where(first, OUT_ZERO, OUT_ONE),
-        np.where(first, OUT_PLUS, OUT_MINUS),
-    ).astype(np.int8)
-
-    cx = ~bob_sift & ~alice_z
-    n_cx = int(np.count_nonzero(cx))
-    ctrl_x_error = float(np.count_nonzero(alice_out[cx] == OUT_MINUS)) / n_cx if n_cx else math.nan
-
-    sz_rounds = np.flatnonzero(sz)
-    sift_z_count = int(sz_rounds.size)
-
+    sz_rounds = np.flatnonzero(cells < 4)
+    n_cx = int(table[10] + table[11])
     abort = None
     test_rounds = np.empty(0, dtype=np.int64)
     test_error = math.nan
     key_alice = key_bob = None
-    if sift_z_count < 2 * n:
+    if sz_rounds.size < 2 * n:
         abort = ABORT_TOO_FEW_SIFT_Z
     else:
-        test_rounds = np.sort(rng.choice(sz_rounds, size=n, replace=False))
-        test_error = float(np.count_nonzero(alice_out[test_rounds] != bob_bit[test_rounds])) / n
-        if not math.isnan(ctrl_x_error) and ctrl_x_error > cfg.p_t:
+        picked = np.sort(rng.choice(sz_rounds.size, size=n, replace=False))  # positions in sz_rounds
+        test_rounds = sz_rounds[picked]
+        test_cells = cells[test_rounds]
+        test_error = int(np.count_nonzero((test_cells & 1) != (test_cells >> 1))) / n
+        if n_cx and int(table[11]) / n_cx > cfg.p_t:
             abort = ABORT_CTRL_X_NOISE
         elif test_error > cfg.p_t:
             abort = ABORT_TEST_BIT_NOISE
         else:
-            remaining = np.setdiff1d(sz_rounds, test_rounds, assume_unique=True)
-            key_rounds = remaining[:n]
-            key_alice = alice_out[key_rounds].astype(np.int8)
-            key_bob = bob_bit[key_rounds].copy()
+            unpicked = np.ones(sz_rounds.size, dtype=bool)
+            unpicked[picked] = False
+            key_cells = cells[sz_rounds[unpicked][:n]]
+            key_alice = key_cells & 1
+            key_bob = key_cells >> 1
 
-    transcript = ProtocolTranscript(
-        bob_sift=bob_sift,
-        alice_z=alice_z,
-        bob_bit=bob_bit,
-        alice_out=alice_out,
-        sift_z_count=sift_z_count,
-        ctrl_x_error_rate=ctrl_x_error,
+    return ProtocolTranscript(
+        cells=cells,
+        table=table,
         test_bit_error_rate=test_error,
         test_rounds=test_rounds,
         raw_key_alice=key_alice,
         raw_key_bob=key_bob,
         abort_reason=abort,
-        estimated=_estimate_from_arrays(bob_sift, alice_z, bob_bit, alice_out),
-    )
-    return transcript
-
-
-def _freq(count: int, m: int) -> Estimate:
-    p = count / m
-    return Estimate(value=p, se=math.sqrt(p * (1.0 - p) / m), n_samples=m)
-
-
-def _estimate_from_arrays(bob_sift, alice_z, bob_bit, alice_out) -> EstimatedStatistics:
-    sift_rounds = int(np.count_nonzero(bob_sift))
-    bias = None
-    if sift_rounds:
-        frac0 = _freq(int(np.count_nonzero(bob_bit == 0)), sift_rounds)
-        bias = Estimate(value=frac0.value - 0.5, se=frac0.se, n_samples=sift_rounds)
-
-    sz = bob_sift & alice_z
-    m_sz = int(np.count_nonzero(sz))
-    p00 = p01 = p10 = p11 = None
-    if m_sz:
-        a = alice_out[sz]
-        b = bob_bit[sz]
-        p00 = _freq(int(np.count_nonzero((a == OUT_ZERO) & (b == 0))), m_sz)
-        p01 = _freq(int(np.count_nonzero((a == OUT_ZERO) & (b == 1))), m_sz)
-        p10 = _freq(int(np.count_nonzero((a == OUT_ONE) & (b == 0))), m_sz)
-        p11 = _freq(int(np.count_nonzero((a == OUT_ONE) & (b == 1))), m_sz)
-
-    cx = ~bob_sift & ~alice_z
-    m_cx = int(np.count_nonzero(cx))
-    p_e_minus = _freq(int(np.count_nonzero(alice_out[cx] == OUT_MINUS)), m_cx) if m_cx else None
-
-    sx = bob_sift & ~alice_z
-    m_sx = int(np.count_nonzero(sx))
-    p0_plus = p1_plus = None
-    if m_sx:
-        a = alice_out[sx]
-        b = bob_bit[sx]
-        p0_plus = _freq(int(np.count_nonzero((a == OUT_PLUS) & (b == 0))), m_sx)
-        p1_plus = _freq(int(np.count_nonzero((a == OUT_PLUS) & (b == 1))), m_sx)
-
-    return EstimatedStatistics(
-        bias=bias, p00=p00, p01=p01, p10=p10, p11=p11,
-        p_e_minus=p_e_minus, p0_plus=p0_plus, p1_plus=p1_plus,
-    )
-
-
-def estimate_statistics(transcript: ProtocolTranscript) -> EstimatedStatistics:
-    """Frequency estimates of the observable statistics from a transcript.
-
-    The raw-key probabilities are conditioned on the measure-and-Z rounds,
-    the bias on all measured rounds, p_e_minus on reflected X rounds and
-    p0_plus / p1_plus (jointly with Bob's bit) on measure-and-X rounds.
-    Empty conditioning classes yield None fields rather than fabricated
-    values.
-    """
-    return _estimate_from_arrays(
-        transcript.bob_sift, transcript.alice_z, transcript.bob_bit, transcript.alice_out
     )

@@ -278,12 +278,14 @@ def test_threshold_fixed_noise(capsys):
 
 def test_threshold_fixed_noise_at_zero_reports_endpoint(capsys):
     # f(b, 0) = h(1/2+b) is positive on the open interval, so the boundary
-    # is the endpoint b = 1/2 itself, where Q_X = 1/2
-    code, out, _ = run_cli(capsys, "threshold", "--fix", "q=0")
-    assert code == 0
-    values = kv(out)
-    assert values["b_star"] == "0.5"
-    assert values["Q_X_star"] == "0.5"
+    # is the endpoint b = 1/2 itself, where Q_X = 1/2; at a tolerance below
+    # one ulp the probes next to 1/2 round to 0 and must not move the answer
+    for tol in ("1e-4", "1e-20"):
+        code, out, _ = run_cli(capsys, "threshold", "--fix", "q=0", "--tol", tol)
+        assert code == 0
+        values = kv(out)
+        assert values["b_star"] == "0.5"
+        assert values["Q_X_star"] == "0.5"
 
 
 def test_threshold_none_when_always_negative(capsys):
@@ -359,6 +361,18 @@ def test_simulate_rejects_infinite_delta(capsys):
         capsys, "simulate", "--n", "1000", "--seed", "1", "--q", "0.05", "--b", "0", "--delta", "inf")
     assert code == 1 and out == ""
     assert err.splitlines() == ["sqkd: error: delta must be positive and finite, got inf"]
+
+
+@pytest.mark.parametrize("n, delta", [("10000000000", "0.25"), ("1", "1e300")])
+def test_simulate_rejects_runs_over_the_round_cap(capsys, n, delta):
+    # the cap is checked on the configuration, before any round is allocated
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", n, "--seed", "1", "--q", "0.05", "--b", "0", "--delta", delta)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"sqkd: error: n={int(n)} with delta={float(delta)!r} needs more than 100000000 rounds,"
+        " the most one run may have"
+    ]
 
 
 # ---------------------------------------------------------------- validate

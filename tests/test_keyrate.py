@@ -380,8 +380,8 @@ def test_threshold_stops_at_ulp_resolution():
     assert (f(q_star) > 0.0 >= f(above)) or (f(below) > 0.0 >= f(q_star))
     assert abs(q_star - threshold_q(0.0, 1e-12)) <= 1e-12
     # at q = 0 the computed h(1/2 + b) already rounds to h(1) = 0 one ulp
-    # below b = 1/2, so at this resolution the crossing lands there
-    assert 0.5 - 1e-15 < threshold_b(0.0, 1e-20) <= 0.5
+    # below b = 1/2, but it is never negative, so the zero is the endpoint
+    assert threshold_b(0.0, 1e-20) == 0.5
 
 
 # ------------------------------------------------------------------ Q_X
