@@ -99,10 +99,6 @@ class RestrictedAttack:
         """Amplitude sqrt(1/2-b) of |1> in the injected state."""
         return math.sqrt(0.5 - self.bias)
 
-    def g_plus(self) -> np.ndarray:
-        """Eve's (sub-normalized) fragment when Alice sees + on a reflected round."""
-        return (self.alpha * (self.e00 + self.e01) + self.beta * (self.e10 + self.e11)) / math.sqrt(2.0)
-
     def g_minus(self) -> np.ndarray:
         """Eve's (sub-normalized) fragment when Alice sees - on a reflected round."""
         return (self.alpha * (self.e00 - self.e01) + self.beta * (self.e10 - self.e11)) / math.sqrt(2.0)

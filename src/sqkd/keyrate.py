@@ -91,7 +91,7 @@ def _overlap_bound(stats) -> tuple[np.ndarray, np.ndarray]:
 
 def _lambda(p00, p11, B) -> np.ndarray:
     """Array form of lambda_from; NaN or 1 where p00 + p11 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam = 0.5 + np.sqrt(_libm(pow, p00 - p11, 2) + 4.0 * B * B) / (2.0 * (p00 + p11))
     return np.minimum(np.maximum(lam, 0.5), 1.0)
 

@@ -58,6 +58,23 @@ _ROW_SUFFIX = tuple(
     for choice, basis, bit in _BRANCHES
     for outcome in _OUTCOMES[basis]
 )
+# the same endings as fixed 12-byte records; CTRL endings are one byte
+# shorter and end in a NUL pad byte
+_ROW_END = np.array([end.encode() for end in _ROW_SUFFIX], dtype="S12").view("V12")
+# a round index is written as 4-digit groups, enough for every index below MAX_ROUNDS
+_GROUPS = -(-len(str(MAX_ROUNDS - 1)) // 4)
+_INDEX_WIDTH = 4 * _GROUPS
+# b"0000" ... b"9999", one 4-byte word each
+_DIGITS = np.stack(
+    np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4, indexing="ij"), axis=-1
+).view(np.uint32).ravel()
+# _KEEP[g, d] masks the bytes of group g that an index of d digits shows
+_KEEP = np.ascontiguousarray(
+    np.where(np.arange(_INDEX_WIDTH) >= _INDEX_WIDTH - np.arange(_INDEX_WIDTH + 1)[:, None], 0xFF, 0)
+    .astype(np.uint8).view(np.uint32).T
+)
+# 10, 100, ...: the smallest index of each digit count above one
+_DECADES = 10 ** np.arange(1, _INDEX_WIDTH)
 # branch by 4 * sift + 2 * (alice_basis == X) + bob_bit; CTRL rounds ignore the bit
 _BRANCH_OF = np.array([4, 4, 5, 5, 0, 1, 2, 3], dtype=np.int8)
 
@@ -240,14 +257,29 @@ class ProtocolTranscript:
 
     def to_csv(self, path) -> None:
         """Write one row per round plus the summary block as '#' comments."""
-        suffix = _ROW_SUFFIX
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(TRANSCRIPT_HEADER + "\n")
+        with open(path, "wb") as fh:
+            fh.write(f"{TRANSCRIPT_HEADER}\n".encode())
             for start in range(0, self.n_rounds, CHUNK):
-                block = self.cells[start:start + CHUNK].tolist()
-                fh.write("".join([f"{i}{suffix[c]}" for i, c in enumerate(block, start)]))
-            for line in self.summary_lines():
-                fh.write(f"# {line}\n")
+                fh.write(_rows(start, self.cells[start:start + CHUNK]))
+            fh.write("".join(f"# {line}\n" for line in self.summary_lines()).encode())
+
+
+def _rows(start: int, cells: np.ndarray) -> bytes:
+    """CSV rows of the rounds start, start + 1, ... whose cell codes are ``cells``.
+
+    Each row is first laid out as a fixed-width record: the index as
+    zero-padded 4-digit groups, then the 12-byte ending.  Leading zeros
+    and the pad byte of CTRL endings are NUL, which never occurs in a row,
+    so deleting every NUL leaves the rows.
+    """
+    index = np.arange(start, start + cells.size)
+    n_digits = 1 + np.searchsorted(_DECADES, index, side="right")
+    records = np.empty((cells.size, _GROUPS + 3), dtype=np.uint32)
+    for g in range(_GROUPS):
+        group = index // 10 ** (4 * (_GROUPS - 1 - g)) % 10**4
+        records[:, g] = _DIGITS[group] & _KEEP[g, n_digits]
+    records[:, _GROUPS:].view("V12")[:, 0] = _ROW_END[cells]
+    return records.tobytes().translate(None, b"\0")
 
 
 def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTranscript:

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sqkd.attacks import (
@@ -100,6 +100,7 @@ def test_lambda_from_rejects_degenerate_input():
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(5e-324, 0.0, 0.5)  # p00 + p11 subnormal: the quotient overflows
 def test_lambda_from_stays_in_range(p00, p11, b_val):
     if p00 + p11 <= 0:
         return

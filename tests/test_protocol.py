@@ -25,6 +25,8 @@ from sqkd.protocol import (
     SIFT,
     TRANSCRIPT_HEADER,
     ProtocolConfig,
+    _ROW_SUFFIX,
+    _rows,
     run_protocol,
 )
 from sqkd.fileio import fmt
@@ -229,6 +231,22 @@ def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chu
         assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
     assert [tr.abort_reason for tr in transcripts] == [ABORT_CTRL_X_NOISE, None, None]
     assert transcripts[2].n_rounds > 3 * DEFAULT_CHUNK
+
+
+def reference_rows(start, cells):
+    """The per-row writer that the numpy block writer replaced."""
+    return "".join(f"{i}{_ROW_SUFFIX[c]}" for i, c in enumerate(cells.tolist(), start)).encode()
+
+
+# each start's block crosses the next index width (10, 100, ..., 10^8 - 1)
+@pytest.mark.parametrize("start", [0, *(10**k - 1 for k in range(1, 8)), 10**4, MAX_ROUNDS - 5])
+def test_block_writer_matches_the_per_row_writer(start):
+    size = min(300, MAX_ROUNDS - start)
+    cells = np.random.default_rng(start).integers(0, 12, size).astype(np.int8)
+    assert _rows(start, cells) == reference_rows(start, cells)
+    for code in np.arange(12, dtype=np.int8):
+        assert _rows(start, np.full(1, code)) == reference_rows(start, np.full(1, code))
+    assert _rows(start, cells[:0]) == b""
 
 
 @pytest.mark.parametrize("cfg, q, b", EXPORT_RUNS)
