@@ -238,7 +238,7 @@ def reference_rows(start, cells):
     return "".join(f"{i}{_ROW_SUFFIX[c]}" for i, c in enumerate(cells.tolist(), start)).encode()
 
 
-# each start's block crosses the next index width (10, 100, ..., 10^8 - 1)
+# starts just below and at each change of index width, and the last rounds a run may have
 @pytest.mark.parametrize("start", [0, *(10**k - 1 for k in range(1, 8)), 10**4, MAX_ROUNDS - 5])
 def test_block_writer_matches_the_per_row_writer(start):
     size = min(300, MAX_ROUNDS - start)
