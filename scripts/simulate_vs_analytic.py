@@ -8,7 +8,7 @@ bound recomputed from the estimates with the closed form f(b, q).
 
 import argparse
 
-from sqkd.attacks import STAT_FIELDS, attack_from_kraus, compute_statistics, depolarizing_channel
+from sqkd.attacks import STAT_FIELDS, compute_statistics, depolarizing_attack
 from sqkd.keyrate import depolarizing_bound, key_rate_bound
 from sqkd.protocol import ProtocolConfig, run_protocol
 
@@ -21,7 +21,7 @@ def main():
 
     for b in (0.0, 0.2):
         for q in (0.0, 0.05, 0.1):
-            attack = attack_from_kraus(depolarizing_channel(q), b)
+            attack = depolarizing_attack(b, q)
             cfg = ProtocolConfig(n=args.n, seed=args.seed)
             tr = run_protocol(cfg, attack)
             analytic = compute_statistics(attack)

@@ -2,31 +2,19 @@
 semi-quantum key distribution protocol under collective attacks."""
 
 from .attacks import (
-    KrausChannel,
     ObservedStatistics,
     RestrictedAttack,
     StatisticsColumns,
-    attack_from_kraus,
-    attack_from_unitary,
     compute_statistics,
-    depolarizing_channel,
-    identity_attack,
+    depolarizing_attack,
     load_attack,
-    make_e_state,
-    random_attack,
-    random_unitary,
-    save_attack,
 )
 from .keyrate import (
     KeyRateReport,
-    bound_B,
     depolarizing_bound,
     depolarizing_stats,
-    entropy_terms,
     key_rate_bound,
-    lambda_from,
     load_statistics,
-    save_statistics,
     threshold_b,
     threshold_q,
     x_error_from_bias,
@@ -39,29 +27,17 @@ from .protocol import (
 )
 
 __all__ = [
-    "KrausChannel",
     "ObservedStatistics",
     "RestrictedAttack",
     "StatisticsColumns",
-    "attack_from_kraus",
-    "attack_from_unitary",
     "compute_statistics",
-    "depolarizing_channel",
-    "identity_attack",
+    "depolarizing_attack",
     "load_attack",
-    "make_e_state",
-    "random_attack",
-    "random_unitary",
-    "save_attack",
     "KeyRateReport",
-    "bound_B",
     "depolarizing_bound",
     "depolarizing_stats",
-    "entropy_terms",
     "key_rate_bound",
-    "lambda_from",
     "load_statistics",
-    "save_statistics",
     "threshold_b",
     "threshold_q",
     "x_error_from_bias",

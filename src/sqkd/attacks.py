@@ -20,7 +20,6 @@ import numpy as np
 
 from . import fileio
 from .fileio import ParseError
-from .qmath import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 
 #: tolerance on the unitarity constraints and statistics invariants
 ATOL = 1e-9
@@ -31,12 +30,6 @@ def _check_bias(b: float) -> float:
     if not -0.5 <= b <= 0.5 or b != b:
         raise ValueError(f"bias must lie in [-1/2, 1/2], got {b!r}")
     return b
-
-
-def make_e_state(b: float) -> np.ndarray:
-    """State Eve injects toward Bob: sqrt(1/2+b)|0> + sqrt(1/2-b)|1>."""
-    b = _check_bias(b)
-    return np.array([math.sqrt(0.5 + b), math.sqrt(0.5 - b)], dtype=complex)
 
 
 def attack_deviations(e00, e01, e10, e11) -> dict[str, float]:
@@ -86,10 +79,6 @@ class RestrictedAttack:
             raise ValueError(f"fragments violate unitarity (max deviation {worst:.3e}): {dev}")
 
     @property
-    def ancilla_dim(self) -> int:
-        return self.e00.size
-
-    @property
     def alpha(self) -> float:
         """Amplitude sqrt(1/2+b) of |0> in the injected state."""
         return math.sqrt(0.5 + self.bias)
@@ -104,92 +93,30 @@ class RestrictedAttack:
         return (self.alpha * (self.e00 - self.e01) + self.beta * (self.e10 - self.e11)) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """Qubit channel given by 2x2 Kraus operators with sum K^dag K = I."""
-
-    kraus_ops: tuple
-
-    def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex, copy=True) for k in self.kraus_ops)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (2, 2):
-                raise ValueError(f"Kraus operators must be 2x2, got shape {k.shape}")
-            if not (np.all(np.isfinite(k.real)) and np.all(np.isfinite(k.imag))):
-                raise ValueError("Kraus operator has non-finite entries")
-        total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.max(np.abs(total - np.eye(2))))
-        if dev > ATOL:
-            raise ValueError(f"Kraus set is not trace preserving (max deviation {dev:.3e})")
-        for k in ops:
-            k.flags.writeable = False
-        object.__setattr__(self, "kraus_ops", ops)
-
-    def apply(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for k in self.kraus_ops:
-            out += k @ rho @ k.conj().T
-        return out
-
-
-def depolarizing_channel(q: float) -> KrausChannel:
-    """Channel rho -> (1-q) rho + (q/2) I as a four-element Kraus set."""
+def _check_noise(q: float) -> float:
     q = float(q)
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"depolarizing parameter must lie in [0, 1], got {q!r}")
-    return KrausChannel((
-        math.sqrt(1.0 - 0.75 * q) * PAULI_I,
-        math.sqrt(0.25 * q) * PAULI_X,
-        math.sqrt(0.25 * q) * PAULI_Y,
-        math.sqrt(0.25 * q) * PAULI_Z,
-    ))
+    return q
 
 
-def attack_from_unitary(U, b: float) -> RestrictedAttack:
-    """Extract the ancilla fragments from a unitary on qubit x ancilla.
+def depolarizing_attack(b: float, q: float) -> RestrictedAttack:
+    """Attack whose reverse channel depolarizes: rho -> (1-q) rho + (q/2) I.
 
-    The qubit is the most significant factor, so for ancilla dimension d the
-    fragments are the top/bottom halves of columns 0 and d.
+    The fragments are the Stinespring dilation of the Kraus set
+    sqrt(1 - 3q/4) I, sqrt(q/4) X, sqrt(q/4) Y, sqrt(q/4) Z, one ancilla
+    component per Kraus operator: e_ij[k] = (K_k)_{j,i}.
     """
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] < 2 or U.shape[0] % 2:
-        raise ValueError(f"expected a 2d x 2d matrix, got shape {U.shape}")
-    dev = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0]))))
-    if dev > ATOL:
-        raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
-    d = U.shape[0] // 2
-    return RestrictedAttack(b, e00=U[:d, 0], e01=U[d:, 0], e10=U[:d, d], e11=U[d:, d])
-
-
-def attack_from_kraus(channel: KrausChannel, b: float) -> RestrictedAttack:
-    """Stinespring dilation of a qubit channel as a reverse-channel attack.
-
-    With e_ij[k] = (K_k)_{j,i} the dilated unitary sends |i,0> to
-    sum_j |j> (x) e_ij, so tracing out the ancilla reproduces the channel.
-    """
-    ks = channel.kraus_ops
+    q = _check_noise(q)
+    a = math.sqrt(1.0 - 0.75 * q)
+    c = math.sqrt(0.25 * q)
     return RestrictedAttack(
         b,
-        e00=np.array([k[0, 0] for k in ks]),
-        e01=np.array([k[1, 0] for k in ks]),
-        e10=np.array([k[0, 1] for k in ks]),
-        e11=np.array([k[1, 1] for k in ks]),
+        e00=[a, 0, 0, c],
+        e01=[0, c, 1j * c, 0],
+        e10=[0, c, -1j * c, 0],
+        e11=[a, 0, 0, -c],
     )
-
-
-def identity_attack(b: float = 0.0, ancilla_dim: int = 1) -> RestrictedAttack:
-    """Attack that leaves the returning qubit untouched."""
-    d = int(ancilla_dim)
-    if d < 1:
-        raise ValueError("ancilla dimension must be positive")
-    e00 = np.zeros(d, dtype=complex)
-    e11 = np.zeros(d, dtype=complex)
-    e00[0] = 1.0
-    e11[0] = 1.0
-    return RestrictedAttack(b, e00=e00, e01=np.zeros(d, complex), e10=np.zeros(d, complex), e11=e11)
 
 
 #: the bias and the seven observable probabilities, in field order
@@ -294,25 +221,6 @@ def compute_statistics(attack: RestrictedAttack) -> ObservedStatistics:
     )
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR factorization of a complex Gaussian matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def random_attack(rng: np.random.Generator, ancilla_dim: int = 4, bias: float | None = None) -> RestrictedAttack:
-    """Random restricted attack for property-test batteries.
-
-    The unitary is Haar random on qubit x ancilla; the bias defaults to a
-    uniform draw from [-0.49, 0.49].
-    """
-    if bias is None:
-        bias = float(rng.uniform(-0.49, 0.49))
-    return attack_from_unitary(random_unitary(2 * int(ancilla_dim), rng), bias)
-
-
 # ---------------------------------------------------------------------------
 # attack specification file:  b=<real>, d=<int>, then one line per fragment
 # with components separated by ';' and re/im parts by ','.
@@ -371,14 +279,3 @@ def load_attack(path) -> RestrictedAttack:
     """Parse an attack file and enforce the unitarity invariants."""
     b, vectors = parse_attack_file(path)
     return RestrictedAttack(b, **vectors)
-
-
-def save_attack(attack: RestrictedAttack, path) -> None:
-    def vec(v: np.ndarray) -> str:
-        return ";".join(f"{c.real:.17g},{c.imag:.17g}" for c in v)
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"b={attack.bias:.17g}\n")
-        fh.write(f"d={attack.ancilla_dim}\n")
-        for name in _VECTOR_KEYS:
-            fh.write(f"{name}={vec(getattr(attack, name))}\n")

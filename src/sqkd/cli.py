@@ -29,15 +29,12 @@ _SWEEP_ROW = "%.12g,%.12g\n"  # the digits of fileio.fmt
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; the CLI contract wants 1."""
+    """argparse prints the usage and exits with status 2 on bad flags; the CLI
+    contract wants one error line and status 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_input(message))
-
-    def exit_input(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_INPUT
+        raise SystemExit(EXIT_INPUT)
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def cmd_simulate(args) -> int:
     else:
         if args.q is None or args.b is None:
             raise ValueError("--q and --b must be given together")
-        attack = attacks.attack_from_kraus(attacks.depolarizing_channel(args.q), args.b)
+        attack = attacks.depolarizing_attack(args.b, args.q)
     cfg = protocol.ProtocolConfig(
         n=args.n, seed=args.seed, delta=args.delta, p_t=args.pt,
     )

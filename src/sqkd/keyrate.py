@@ -16,7 +16,8 @@ matching key bits:
 One numpy kernel evaluates the bound over columns of statistics; a single
 ObservedStatistics goes through the same kernel.  For a depolarizing reverse
 channel with parameter q everything collapses to the closed form f(b, q)
-implemented in depolarizing_bound(), kept as an independent scalar oracle.
+implemented in depolarizing_bound(), the scalar evaluator of the threshold
+searches.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from itertools import repeat
 import numpy as np
 
 from . import fileio
-from .attacks import ObservedStatistics, StatisticsColumns, _check_bias
+from .attacks import ObservedStatistics, StatisticsColumns, _check_bias, _check_noise
 from .fileio import ParseError
-from .qmath import binary_entropy, shannon_entropy
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,11 @@ def _entropy(x) -> np.ndarray:
 
 
 def _overlap_bound(stats) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of bound_B: (B, clamped) at every point."""
+    """Observable lower bound B on alpha beta |<e00|e11>| and its clamp flag.
+
+    The raw value is capped at sqrt(p00 p11), the Cauchy-Schwarz ceiling that
+    keeps lambda <= 1; a non-positive raw value is returned as is.
+    """
     raw = (
         1.0
         - stats.p_e_minus
@@ -90,35 +94,14 @@ def _overlap_bound(stats) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lambda(p00, p11, B) -> np.ndarray:
-    """Array form of lambda_from; NaN or 1 where p00 + p11 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam = 0.5 + np.sqrt(_libm(pow, p00 - p11, 2) + 4.0 * B * B) / (2.0 * (p00 + p11))
-    return np.minimum(np.maximum(lam, 0.5), 1.0)
-
-
-def bound_B(stats: ObservedStatistics) -> tuple[float, bool]:
-    """Observable lower bound on alpha beta |<e00|e11>|.
-
-    The raw value is capped at sqrt(p00 p11), the Cauchy-Schwarz ceiling that
-    keeps lambda <= 1; the flag reports whether the cap was applied.  A
-    non-positive raw value is returned as is, abort semantics are the
-    caller's job.
-    """
-    B, clamped = _overlap_bound(stats)
-    return float(B), bool(clamped)
-
-
-def lambda_from(p00: float, p11: float, B: float) -> float:
     """Larger eigenvalue bound of Eve's state on matching key bits.
 
     lambda = 1/2 + sqrt((p00-p11)^2 + 4 B^2) / (2 (p00+p11)), clamped to
-    [1/2, 1].
+    [1/2, 1]; NaN or 1 where p00 + p11 = 0.
     """
-    if B < 0:
-        raise ValueError(f"B must be non-negative, got {B!r}")
-    if p00 + p11 <= 0:
-        raise ValueError("lambda is undefined when p00 + p11 = 0")
-    return float(_lambda(p00, p11, B))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam = 0.5 + np.sqrt(_libm(pow, p00 - p11, 2) + 4.0 * B * B) / (2.0 * (p00 + p11))
+    return np.minimum(np.maximum(lam, 0.5), 1.0)
 
 
 def key_rate_bound(stats: ObservedStatistics | StatisticsColumns) -> KeyRateReport:
@@ -148,23 +131,12 @@ def key_rate_bound(stats: ObservedStatistics | StatisticsColumns) -> KeyRateRepo
     )
 
 
-def entropy_terms(stats: ObservedStatistics) -> tuple[float, float]:
-    """(S of the four-outcome key distribution, H(B|A)) for diagnostics."""
-    s_bme = shannon_entropy([stats.p00, stats.p01, stats.p10, stats.p11])
-    h_b_given_a = s_bme - float(_entropy(stats.p00 + stats.p01))
-    return s_bme, h_b_given_a
-
-
 # ---------------------------------------------------------------------------
 # depolarizing reverse channel: closed forms and threshold search
 
 
 def _check_depolarizing_args(b: float, q: float) -> tuple[float, float]:
-    b = _check_bias(b)
-    q = float(q)
-    if not 0.0 <= q <= 1.0 or q != q:
-        raise ValueError(f"depolarizing parameter must lie in [0, 1], got {q!r}")
-    return b, q
+    return _check_bias(b), _check_noise(q)
 
 
 def depolarizing_stats(b, q) -> ObservedStatistics | StatisticsColumns:
@@ -199,22 +171,31 @@ def depolarizing_stats(b, q) -> ObservedStatistics | StatisticsColumns:
     )
 
 
+def _h(x: float) -> float:
+    """Binary entropy h(x) in bits, 0 at both ends of [0, 1]."""
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
 def depolarizing_bound(b: float, q: float) -> float:
     """f(b, q) = h(1/2 + b - b q) - h(1 - q/2) - q/2 - (1 - q/2) h(lambda).
 
     Here B = (1/2 - 3q/4) sqrt(1 - 4 b^2) and
     lambda = 1/2 + sqrt(b^2 (2-q)^2 + 4 B^2) / (2 - q); a negative B is
-    replaced by 0, matching the abort diagnostics of key_rate_bound.
+    replaced by 0, matching the abort diagnostics of key_rate_bound.  The
+    threshold searches evaluate this scalar closed form, one point at a
+    time: a kernel call on a batch of one costs far more.
     """
     b, q = _check_depolarizing_args(b, q)
     root = math.sqrt(max(0.0, 1.0 - 4.0 * b * b))
     big_b = max(0.0, (0.5 - 0.75 * q) * root)
     lam = min(1.0, 0.5 + math.sqrt(b * b * (2.0 - q) ** 2 + 4.0 * big_b * big_b) / (2.0 - q))
     return (
-        binary_entropy(0.5 + b - b * q)
-        - binary_entropy(1.0 - 0.5 * q)
+        _h(0.5 + b - b * q)
+        - _h(1.0 - 0.5 * q)
         - 0.5 * q
-        - (1.0 - 0.5 * q) * binary_entropy(lam)
+        - (1.0 - 0.5 * q) * _h(lam)
     )
 
 
@@ -324,13 +305,6 @@ def load_statistics(path) -> ObservedStatistics:
         raise ParseError(path, 0, f"missing keys: {', '.join(missing)}")
     kwargs = {("bias" if key == "b" else key): seen[key] for key in _STATS_KEYS}
     return ObservedStatistics(**kwargs)
-
-
-def save_statistics(stats: ObservedStatistics, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in _STATS_KEYS:
-            value = stats.bias if key == "b" else getattr(stats, key)
-            fh.write(f"{key}={value:.17g}\n")
 
 
 def format_report(report: KeyRateReport) -> str:

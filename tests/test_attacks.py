@@ -4,52 +4,39 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sqkd import qmath
+import oracle
+from conftest import random_attack, save_attack
 from sqkd.attacks import (
-    KrausChannel,
     ObservedStatistics,
     RestrictedAttack,
     attack_deviations,
-    attack_from_kraus,
-    attack_from_unitary,
     compute_statistics,
-    depolarizing_channel,
-    identity_attack,
+    depolarizing_attack,
     load_attack,
-    make_e_state,
     parse_attack_file,
-    random_attack,
-    random_unitary,
-    save_attack,
 )
 from sqkd.fileio import ParseError
-from sqkd.keyrate import bound_B, depolarizing_stats
+from sqkd.keyrate import depolarizing_stats, key_rate_bound
 
 STAT_FIELDS = ("p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus")
 
-
-# -------------------------------------------------------------- e state
-
-
-def test_make_e_state_known_values():
-    assert_allclose(make_e_state(0.0), qmath.KET_PLUS, atol=1e-15)
-    assert_allclose(make_e_state(0.5), qmath.KET0, atol=1e-15)
-    assert_allclose(make_e_state(0.3), [math.sqrt(0.8), math.sqrt(0.2)], atol=1e-15)
-
-
-def test_make_e_state_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        make_e_state(0.6)
-    with pytest.raises(ValueError):
-        make_e_state(-0.51)
+BIT_FLIP = dict(e00=[0.0], e01=[1.0], e10=[1.0], e11=[0.0])
 
 
 # ------------------------------------------------------- attack construction
 
 
+def test_injected_state_amplitudes():
+    # Eve injects sqrt(1/2+b)|0> + sqrt(1/2-b)|1> toward Bob
+    for b, want in ((0.0, (math.sqrt(0.5), math.sqrt(0.5))), (0.5, (1.0, 0.0)),
+                    (0.3, (math.sqrt(0.8), math.sqrt(0.2)))):
+        atk = RestrictedAttack(b, e00=[1.0], e01=[0.0], e10=[0.0], e11=[1.0])
+        assert_allclose((atk.alpha, atk.beta), want, atol=1e-15)
+
+
 def test_attack_from_identity_unitary():
-    atk = attack_from_unitary(np.eye(2), b=0.1)
-    assert atk.ancilla_dim == 1
+    atk = RestrictedAttack(0.1, **oracle.fragments(np.eye(2)))
+    assert atk.e00.size == 1
     assert_allclose(atk.e00, [1.0], atol=1e-15)
     assert_allclose(atk.e01, [0.0], atol=1e-15)
     assert_allclose(atk.e10, [0.0], atol=1e-15)
@@ -57,18 +44,21 @@ def test_attack_from_identity_unitary():
 
 
 def test_attack_from_bit_flip_unitary():
-    atk = attack_from_unitary(qmath.PAULI_X, b=0.0)
-    assert_allclose(atk.e00, [0.0], atol=1e-15)
-    assert_allclose(atk.e01, [1.0], atol=1e-15)
-    assert_allclose(atk.e10, [1.0], atol=1e-15)
-    assert_allclose(atk.e11, [0.0], atol=1e-15)
+    # the qubit is the most significant factor of qubit (x) ancilla
+    atk = RestrictedAttack(0.0, **oracle.fragments(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    for name, want in BIT_FLIP.items():
+        assert_allclose(getattr(atk, name), want, atol=1e-15)
+    swap = np.eye(4)[[0, 2, 1, 3]]  # |q, a> -> |a, q>
+    atk = RestrictedAttack(0.0, **oracle.fragments(swap))
+    assert_allclose(atk.e00, [1.0, 0.0], atol=1e-15)
+    assert_allclose(atk.e01, [0.0, 0.0], atol=1e-15)
+    assert_allclose(atk.e10, [0.0, 1.0], atol=1e-15)
+    assert_allclose(atk.e11, [0.0, 0.0], atol=1e-15)
 
 
 def test_attack_from_unitary_rejects_non_unitary():
     with pytest.raises(ValueError, match="deviation"):
-        attack_from_unitary(np.eye(2) * 1.1, b=0.0)
-    with pytest.raises(ValueError):
-        attack_from_unitary(np.eye(3), b=0.0)  # odd dimension
+        RestrictedAttack(0.0, **oracle.fragments(np.eye(2) * 1.1))
 
 
 def test_random_attacks_satisfy_unitarity():
@@ -91,55 +81,55 @@ def test_restricted_attack_rejects_invariant_violations():
 # ---------------------------------------------------------------- channels
 
 
+def _channel_output(atk, rho):
+    """The qubit Bob returns after the attack, ancilla traced out.
+
+    U|i,0> = |0,e_i0> + |1,e_i1>, so U (rho (x) |0><0|) U^dag traced over the
+    ancilla is sum_k M_k rho M_k^dag with (M_k)_{j,i} = e_ij[k].
+    """
+    frags = np.array([[atk.e00, atk.e10], [atk.e01, atk.e11]])  # [j, i, k]
+    return np.einsum("jik,il,mlk->jm", frags, rho, frags.conj())
+
+
 def test_depolarizing_channel_known_actions():
-    rho0 = qmath.projector(qmath.KET0)
-    assert_allclose(depolarizing_channel(0.0).apply(rho0), rho0, atol=1e-15)
-    assert_allclose(depolarizing_channel(1.0).apply(rho0), np.eye(2) / 2, atol=1e-15)
-    plus = qmath.projector(qmath.KET_PLUS)
-    assert_allclose(depolarizing_channel(0.2).apply(plus), 0.8 * plus + 0.1 * np.eye(2), atol=1e-12)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    assert_allclose(_channel_output(depolarizing_attack(0.0, 0.0), rho0), rho0, atol=1e-15)
+    assert_allclose(_channel_output(depolarizing_attack(0.0, 1.0), rho0), np.eye(2) / 2, atol=1e-15)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    assert_allclose(_channel_output(depolarizing_attack(0.0, 0.2), plus), 0.8 * plus + 0.1 * np.eye(2),
+                    atol=1e-12)
 
 
 def test_depolarizing_channel_matches_definition_on_random_states():
     rng = np.random.default_rng(2)
     for q in (0.0, 0.1, 0.5, 1.0):
-        ch = depolarizing_channel(q)
+        atk = depolarizing_attack(float(rng.uniform(-0.5, 0.5)), q)
         for _ in range(20):
-            v = random_unitary(2, rng)[:, 0]
-            rho = qmath.projector(v)
-            assert_allclose(ch.apply(rho), (1 - q) * rho + q * np.eye(2) / 2, atol=1e-12)
+            v = oracle.haar_unitary(2, rng)[:, 0]
+            rho = np.outer(v, v.conj())
+            assert_allclose(_channel_output(atk, rho), (1 - q) * rho + q * np.eye(2) / 2, atol=1e-12)
 
 
 def test_depolarizing_channel_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        depolarizing_channel(-0.1)
-    with pytest.raises(ValueError):
-        depolarizing_channel(1.1)
+    for q in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="depolarizing parameter must lie in \\[0, 1\\]"):
+            depolarizing_attack(0.0, q)
+    # the noise is checked before the bias
+    with pytest.raises(ValueError, match="depolarizing parameter"):
+        depolarizing_attack(0.6, 1.5)
+    with pytest.raises(ValueError, match="bias must lie"):
+        depolarizing_attack(0.6, 0.5)
 
 
-def test_kraus_channel_rejects_incomplete_set():
-    with pytest.raises(ValueError, match="trace preserving"):
-        KrausChannel((0.9 * qmath.PAULI_I,))
-    with pytest.raises(ValueError):
-        KrausChannel(())
-
-
-def test_attack_from_kraus_identity_channel():
-    atk = attack_from_kraus(KrausChannel((qmath.PAULI_I,)), b=0.0)
-    stats = compute_statistics(atk)
-    ident = compute_statistics(identity_attack(0.0))
-    for name in STAT_FIELDS:
-        assert getattr(stats, name) == pytest.approx(getattr(ident, name), abs=1e-15)
-
-
-def test_attack_from_kraus_depolarizing_matches_closed_forms():
+def test_depolarizing_attack_matches_closed_forms():
     for b in np.linspace(-0.45, 0.45, 7):
         for q in np.linspace(0.0, 1.0, 9):
-            got = compute_statistics(attack_from_kraus(depolarizing_channel(q), b))
+            got = compute_statistics(depolarizing_attack(b, q))
             want = depolarizing_stats(b, q)
             for name in STAT_FIELDS:
                 assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
     # the matched-bit overlap of the dilation is 1 - q
-    atk = attack_from_kraus(depolarizing_channel(0.3), 0.0)
+    atk = depolarizing_attack(0.0, 0.3)
     assert np.vdot(atk.e00, atk.e11).real == pytest.approx(0.7, abs=1e-13)
 
 
@@ -147,7 +137,7 @@ def test_attack_from_kraus_depolarizing_matches_closed_forms():
 
 
 def test_identity_attack_statistics():
-    stats = compute_statistics(identity_attack(0.0))
+    stats = compute_statistics(depolarizing_attack(0.0, 0.0))
     assert stats.p00 == pytest.approx(0.5, abs=1e-15)
     assert stats.p11 == pytest.approx(0.5, abs=1e-15)
     assert stats.p01 == stats.p10 == 0.0
@@ -157,7 +147,7 @@ def test_identity_attack_statistics():
 
 
 def test_bit_flip_attack_statistics():
-    stats = compute_statistics(attack_from_unitary(qmath.PAULI_X, b=0.0))
+    stats = compute_statistics(RestrictedAttack(0.0, **BIT_FLIP))
     assert stats.p00 == stats.p11 == 0.0
     assert stats.p01 == pytest.approx(0.5, abs=1e-15)
     assert stats.p10 == pytest.approx(0.5, abs=1e-15)
@@ -188,8 +178,7 @@ def test_overlap_bound_is_a_lower_bound():
         atk = random_attack(rng)
         stats = compute_statistics(atk)
         true_overlap = atk.alpha * atk.beta * abs(np.vdot(atk.e00, atk.e11))
-        value, _ = bound_B(stats)
-        assert value <= true_overlap + 1e-10
+        assert key_rate_bound(stats).B_lower <= true_overlap + 1e-10
 
 
 def test_statistics_validation():
@@ -260,4 +249,4 @@ def test_attack_file_accepts_comments_and_blank_lines(tmp_path):
     path = tmp_path / "ok.txt"
     path.write_text("# identity attack\n\nb=0\nd=1\ne00=1,0\ne01=0,0\ne10=0,0\ne11=1,0\n")
     atk = load_attack(path)
-    assert atk.ancilla_dim == 1
+    assert atk.e00.size == 1

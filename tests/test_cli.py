@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import random_attack, save_attack, save_statistics
 from sqkd import cli
-from sqkd.attacks import STAT_FIELDS, StatisticsColumns, identity_attack, random_attack, save_attack
-from sqkd.keyrate import depolarizing_stats, format_report, key_rate_bound, load_statistics, save_statistics
+from sqkd.attacks import STAT_FIELDS, StatisticsColumns, depolarizing_attack
+from sqkd.keyrate import depolarizing_stats, format_report, key_rate_bound, load_statistics
 
 
 def run_cli(capsys, *argv):
@@ -60,7 +61,7 @@ def test_bound_from_stats_file(capsys, tmp_path):
 
 def test_bound_from_attack_file(capsys, tmp_path):
     path = tmp_path / "attack.txt"
-    save_attack(identity_attack(0.0, 4), path)
+    save_attack(depolarizing_attack(0.0, 0.0), path)
     code, out, _ = run_cli(capsys, "bound", "--attack", str(path))
     assert code == 0
     assert float(kv(out)["bound"]) == 1.0
@@ -350,7 +351,7 @@ def test_simulate_input_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--n", "0", "--seed", "1", "--q", "0", "--b", "0")
     assert code == 1
     path = tmp_path / "attack.txt"
-    save_attack(identity_attack(0.0), path)
+    save_attack(depolarizing_attack(0.0, 0.0), path)
     code, _, err = run_cli(
         capsys, "simulate", "--n", "10", "--seed", "1", "--q", "0", "--b", "0", "--attack", str(path))
     assert code == 1
@@ -380,17 +381,15 @@ def test_simulate_rejects_runs_over_the_round_cap(capsys, n, delta):
 
 def test_validate_pass(capsys, tmp_path):
     path = tmp_path / "attack.txt"
-    save_attack(identity_attack(0.2, 4), path)
+    save_attack(depolarizing_attack(0.2, 0.0), path)
     code, out, _ = run_cli(capsys, "validate", "--attack", str(path))
     assert code == 0
     assert kv(out)["status"] == "pass"
 
 
 def test_validate_kraus_derived_attack_passes(capsys, tmp_path):
-    from sqkd.attacks import attack_from_kraus, depolarizing_channel
-
     path = tmp_path / "attack.txt"
-    save_attack(attack_from_kraus(depolarizing_channel(0.3), 0.1), path)
+    save_attack(depolarizing_attack(0.1, 0.3), path)
     code, out, _ = run_cli(capsys, "validate", "--attack", str(path))
     assert code == 0
     assert kv(out)["status"] == "pass"
@@ -437,6 +436,19 @@ def test_parser_is_built_once_and_reused(capsys, tmp_path):
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run_cli(capsys, "nonsense")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--n", "1.5", "--seed", "1", "--q", "0", "--b", "0"),
+     "sqkd simulate: error: argument --n: invalid int value: '1.5'"),
+    (("bogus",), "sqkd: error: argument command: invalid choice: 'bogus'"),
+    (("bound", "--b", "0.1", "--bogus", "1"), "sqkd: error: unrecognized arguments: --bogus 1"),
+], ids=["bad int", "unknown subcommand", "unknown flag"])
+def test_argparse_errors_are_one_line(capsys, argv, message):
+    # argparse's own errors follow the CLI contract: exit 1, no usage text
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(message)
 
 
 def test_help_exits_zero(capsys):

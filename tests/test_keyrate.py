@@ -6,30 +6,29 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracle
+from conftest import random_attack, save_statistics
 from sqkd.attacks import (
     STAT_FIELDS as COLUMN_FIELDS,
     ObservedStatistics,
+    RestrictedAttack,
     StatisticsColumns,
     compute_statistics,
-    random_attack,
 )
 from sqkd.fileio import ParseError
 from sqkd.keyrate import (
     COARSE_STEP,
-    bound_B,
+    _h,
+    _lambda,
     depolarizing_bound,
     depolarizing_stats,
-    entropy_terms,
     format_report,
     key_rate_bound,
-    lambda_from,
     load_statistics,
-    save_statistics,
     threshold_b,
     threshold_q,
     x_error_from_bias,
 )
-from sqkd.qmath import binary_entropy, shannon_entropy
 
 STAT_FIELDS = ("p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus")
 
@@ -39,11 +38,24 @@ IDENTITY_STATS = ObservedStatistics(
 )
 
 
+def binary_entropy(x):
+    """h(x) with libm's log2, 0 at both ends: the scalar reference."""
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def overlap_bound(stats):
+    """The report's (B, clamped) of one point."""
+    report = key_rate_bound(stats)
+    return report.B_lower, report.B_clamped
+
+
 # ----------------------------------------------------------- overlap bound
 
 
 def test_bound_B_identity():
-    value, clamped = bound_B(IDENTITY_STATS)
+    value, clamped = overlap_bound(IDENTITY_STATS)
     assert value == pytest.approx(0.5, abs=1e-15)
     assert not clamped
 
@@ -51,7 +63,7 @@ def test_bound_B_identity():
 def test_bound_B_depolarizing_closed_form():
     for b in np.linspace(-0.45, 0.45, 7):
         for q in np.linspace(0.0, 0.66, 7):
-            value, clamped = bound_B(depolarizing_stats(b, q))
+            value, clamped = overlap_bound(depolarizing_stats(b, q))
             want = (0.5 - 0.75 * q) * math.sqrt(1 - 4 * b * b)
             assert value == pytest.approx(want, abs=1e-12)
             if clamped:
@@ -61,7 +73,7 @@ def test_bound_B_depolarizing_closed_form():
 
 
 def test_bound_B_negative_for_very_noisy_channel():
-    value, clamped = bound_B(depolarizing_stats(0.0, 0.7))
+    value, clamped = overlap_bound(depolarizing_stats(0.0, 0.7))
     assert value == pytest.approx(-0.025, abs=1e-12)
     assert not clamped
 
@@ -71,7 +83,7 @@ def test_bound_B_is_capped_at_cauchy_schwarz_ceiling():
         bias=0.0, p00=0.5, p01=0.25, p10=0.25, p11=0.0,
         p_e_minus=0.0, p0_plus=0.0, p1_plus=0.0,
     )
-    value, clamped = bound_B(stats)
+    value, clamped = overlap_bound(stats)
     assert clamped
     assert value == 0.0  # ceiling sqrt(p00 p11) = 0
     report = key_rate_bound(stats)
@@ -82,21 +94,15 @@ def test_bound_B_is_capped_at_cauchy_schwarz_ceiling():
 
 
 def test_lambda_from_known_values():
-    assert lambda_from(0.3, 0.3, 0.0) == 0.5
-    assert lambda_from(0.3, 0.3, 0.3) == 1.0
+    assert _lambda(0.3, 0.3, 0.0) == 0.5
+    assert _lambda(0.3, 0.3, 0.3) == 1.0
     for b in (0.0, 0.2, -0.3):
         for q in (0.0, 0.1, 0.5):
             big_b = max(0.0, (0.5 - 0.75 * q) * math.sqrt(1 - 4 * b * b))
             want = 0.5 + math.sqrt(b * b * (2 - q) ** 2 + 4 * big_b ** 2) / (2 - q)
             stats = depolarizing_stats(b, q)
-            assert lambda_from(stats.p00, stats.p11, big_b) == pytest.approx(min(want, 1.0), abs=1e-12)
-
-
-def test_lambda_from_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        lambda_from(0.0, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        lambda_from(0.3, 0.3, -0.1)
+            assert _lambda(stats.p00, stats.p11, big_b) == pytest.approx(min(want, 1.0), abs=1e-12)
+            assert key_rate_bound(stats).lam == pytest.approx(min(want, 1.0), abs=1e-12)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -104,7 +110,7 @@ def test_lambda_from_rejects_degenerate_input():
 def test_lambda_from_stays_in_range(p00, p11, b_val):
     if p00 + p11 <= 0:
         return
-    assert 0.5 <= lambda_from(p00, p11, b_val) <= 1.0
+    assert 0.5 <= _lambda(p00, p11, b_val) <= 1.0
 
 
 # -------------------------------------------------------------- the bound
@@ -143,6 +149,29 @@ def test_degenerate_k1_zero_skips_lambda():
     assert report.lam is None
     assert report.k1 == 0.0
     assert report.bound == pytest.approx(0.0, abs=1e-12)
+
+
+def test_bound_never_exceeds_the_exact_rate():
+    # S(B|E) - H(B|A) from dense matrices in the oracle, which shares no
+    # formula with the bound.  Half the attacks are Haar random; the other
+    # half lie near the identity, where the bound is nearly tight.
+    rng = np.random.default_rng(808)
+    near_gap = math.inf
+    for k in range(800):
+        d = 1 + k % 4
+        b = float(rng.uniform(-0.45, 0.45))
+        if k < 400:
+            u = oracle.haar_unitary(2 * d, rng)
+        else:
+            u = oracle.near_identity_unitary(2 * d, float(10.0 ** rng.uniform(-3.0, math.log10(0.3))), rng)
+        frags = oracle.fragments(u)
+        bound = key_rate_bound(compute_statistics(RestrictedAttack(b, **frags))).bound
+        gap = oracle.exact_rate(b, frags) - bound
+        assert gap >= -1e-10, (k, b, gap)
+        if k >= 400:
+            near_gap = min(near_gap, gap)
+    # the battery reaches the bound closely enough to show an error of 1e-5
+    assert near_gap < 1e-5
 
 
 def test_report_internal_identities():
@@ -190,8 +219,8 @@ def _columns(stats):
 
 
 def _reference_report(stats):
-    """The bound written out point by point with math and qmath, as a
-    scalar formula; the kernel must give its doubles bit for bit."""
+    """The bound written out point by point with math, as a scalar formula;
+    the kernel must give its doubles bit for bit."""
     raw = 1.0 - stats.p_e_minus - stats.p0_plus - stats.p1_plus - math.sqrt(
         max(stats.p01, 0.0) * max(stats.p10, 0.0))
     ceiling = math.sqrt(max(stats.p00, 0.0) * max(stats.p11, 0.0))
@@ -295,6 +324,9 @@ def test_depolarizing_stats_known_values():
         depolarizing_stats(0.6, 0.1)
     with pytest.raises(ValueError):
         depolarizing_stats(0.0, 1.1)
+    # the bias is checked before the noise
+    with pytest.raises(ValueError, match="bias must lie"):
+        depolarizing_stats(0.6, 1.5)
 
 
 def test_closed_form_equals_general_bound():
@@ -385,6 +417,33 @@ def test_threshold_stops_at_ulp_resolution():
     assert threshold_b(0.0, 1e-20) == 0.5
 
 
+# ------------------------------------------------------- scalar entropy
+
+
+def test_binary_entropy_known_values():
+    assert _h(0.5) == 1.0
+    assert _h(0.0) == 0.0
+    assert _h(1.0) == 0.0
+    # frozen from a 50-digit oracle: h(0.11) = 0.49991595816528...
+    assert round(_h(0.11), 5) == 0.49992
+    assert _h(0.11) == pytest.approx(0.49991595816528, abs=1e-12)
+
+
+def test_binary_entropy_matches_high_precision_oracle():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for x in (0.11, 0.25, 0.5, 0.75, 0.9999, 1e-9):
+        want = float(-mp.mpf(x) * mp.log(x, 2) - (1 - mp.mpf(x)) * mp.log(1 - mp.mpf(x), 2))
+        assert _h(x) == pytest.approx(want, abs=1e-12)
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+def test_binary_entropy_symmetric_and_bounded(x):
+    h = _h(x)
+    assert 0.0 <= h <= 1.0 + 1e-12
+    assert h == pytest.approx(_h(1.0 - x), abs=1e-12)
+
+
 # ------------------------------------------------------------------ Q_X
 
 
@@ -399,29 +458,6 @@ def test_x_error_from_bias_known_values():
 @given(st.floats(0.0, 0.499))
 def test_x_error_monotone_in_bias(b):
     assert x_error_from_bias(b + 0.001) >= x_error_from_bias(b)
-
-
-# ------------------------------------------------------------ entropy terms
-
-
-def test_entropy_terms_known_values():
-    s, h_cond = entropy_terms(IDENTITY_STATS)
-    assert s == pytest.approx(1.0, abs=1e-12)
-    assert h_cond == pytest.approx(0.0, abs=1e-12)
-
-    quarter = ObservedStatistics(
-        bias=0.0, p00=0.25, p01=0.25, p10=0.25, p11=0.25,
-        p_e_minus=0.5, p0_plus=0.25, p1_plus=0.25,
-    )
-    s, h_cond = entropy_terms(quarter)
-    assert s == pytest.approx(2.0, abs=1e-12)
-    assert h_cond == pytest.approx(1.0, abs=1e-12)
-
-    s, h_cond = entropy_terms(depolarizing_stats(0.0, 0.2))
-    want = shannon_entropy([0.45, 0.05, 0.05, 0.45])
-    assert want == pytest.approx(1.46899559359, abs=1e-9)  # frozen oracle value
-    assert s == pytest.approx(want, abs=1e-12)
-    assert h_cond == pytest.approx(want - 1.0, abs=1e-12)
 
 
 # ----------------------------------------------------------- files, report

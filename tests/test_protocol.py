@@ -9,13 +9,7 @@ import numpy as np
 import pytest
 
 import sqkd.protocol
-from sqkd.attacks import (
-    attack_from_kraus,
-    attack_from_unitary,
-    compute_statistics,
-    depolarizing_channel,
-    identity_attack,
-)
+from sqkd.attacks import RestrictedAttack, compute_statistics, depolarizing_attack
 from sqkd.protocol import (
     ABORT_CTRL_X_NOISE,
     ABORT_TEST_BIT_NOISE,
@@ -30,11 +24,8 @@ from sqkd.protocol import (
     run_protocol,
 )
 from sqkd.fileio import fmt
-from sqkd.qmath import PAULI_X
 
-
-def depolarizing_attack(q, b):
-    return attack_from_kraus(depolarizing_channel(q), b)
+IDENTITY = depolarizing_attack(0.0, 0.0)
 
 
 # ------------------------------------------------------------------- config
@@ -70,7 +61,7 @@ def test_round_count_rounds_up():
 
 def test_noiseless_run_gives_identical_keys():
     cfg = ProtocolConfig(n=1000, seed=3, p_t=0.05)
-    tr = run_protocol(cfg, identity_attack(0.0))
+    tr = run_protocol(cfg, IDENTITY)
     assert tr.abort_reason is None
     assert tr.ctrl_x_error_rate == 0.0
     assert tr.test_bit_error_rate == 0.0
@@ -80,7 +71,7 @@ def test_noiseless_run_gives_identical_keys():
 
 def test_runs_are_deterministic():
     cfg = ProtocolConfig(n=500, seed=99)
-    atk = depolarizing_attack(0.15, 0.1)
+    atk = depolarizing_attack(0.1, 0.15)
     a = run_protocol(cfg, atk)
     b = run_protocol(cfg, atk)
     assert np.array_equal(a.cells, b.cells)
@@ -91,14 +82,14 @@ def test_runs_are_deterministic():
 
 def test_round_classes_partition_all_rounds():
     cfg = ProtocolConfig(n=200, seed=7)
-    tr = run_protocol(cfg, depolarizing_attack(0.2, 0.0))
+    tr = run_protocol(cfg, depolarizing_attack(0.0, 0.2))
     sift_x = tr.sift_x_count
     total = tr.sift_z_count + sift_x + tr.ctrl_z_count + tr.ctrl_x_count
     assert total == tr.n_rounds == cfg.n_rounds
 
 
 def test_estimates_track_analytic_statistics():
-    atk = depolarizing_attack(0.1, 0.0)
+    atk = depolarizing_attack(0.0, 0.1)
     tr = run_protocol(ProtocolConfig(n=100_000, seed=12), atk)
     want = compute_statistics(atk)
     est = tr.estimated
@@ -111,14 +102,14 @@ def test_estimates_track_analytic_statistics():
 
 
 def test_noisy_channel_aborts():
-    tr = run_protocol(ProtocolConfig(n=1000, seed=5, p_t=0.1), depolarizing_attack(0.9, 0.0))
+    tr = run_protocol(ProtocolConfig(n=1000, seed=5, p_t=0.1), depolarizing_attack(0.0, 0.9))
     assert tr.abort_reason in (ABORT_CTRL_X_NOISE, ABORT_TEST_BIT_NOISE)
     assert tr.raw_key_alice is None and tr.raw_key_bob is None
 
 
 def test_too_few_sift_z_aborts_first():
     # with p_sift this small the sifted count cannot reach 2n
-    tr = run_protocol(ProtocolConfig(n=100, seed=8, p_sift=0.01), depolarizing_attack(0.9, 0.0))
+    tr = run_protocol(ProtocolConfig(n=100, seed=8, p_sift=0.01), depolarizing_attack(0.0, 0.9))
     assert tr.abort_reason == ABORT_TOO_FEW_SIFT_Z
     assert tr.test_bit_error_rate != tr.test_bit_error_rate  # NaN: step never ran
 
@@ -126,12 +117,12 @@ def test_too_few_sift_z_aborts_first():
 def test_no_abort_for_noiseless_channel_at_any_threshold():
     for p_t in (0.01, 0.05, 0.2, 0.49):
         for n in (100, 500):
-            tr = run_protocol(ProtocolConfig(n=n, seed=21, p_t=p_t), identity_attack(0.0))
+            tr = run_protocol(ProtocolConfig(n=n, seed=21, p_t=p_t), IDENTITY)
             assert tr.abort_reason is None
 
 
 def test_key_disagreement_matches_error_probability():
-    atk = depolarizing_attack(0.2, 0.0)
+    atk = depolarizing_attack(0.0, 0.2)
     tr = run_protocol(ProtocolConfig(n=20_000, seed=13, p_t=0.2), atk)
     assert tr.abort_reason is None
     disagree = float(np.count_nonzero(tr.raw_key_alice != tr.raw_key_bob)) / tr.raw_key_alice.size
@@ -141,7 +132,7 @@ def test_key_disagreement_matches_error_probability():
 
 
 def test_bit_flip_attack_flips_every_key_bit():
-    atk = attack_from_unitary(PAULI_X, b=0.0)
+    atk = RestrictedAttack(0.0, e00=[0.0], e01=[1.0], e10=[1.0], e11=[0.0])  # bit flip
     tr = run_protocol(ProtocolConfig(n=50, seed=2, p_t=0.49), atk)
     # every sifted Z round disagrees, so the test-bit check must fire
     assert tr.abort_reason == ABORT_TEST_BIT_NOISE
@@ -153,7 +144,7 @@ def test_bit_flip_attack_flips_every_key_bit():
 
 def test_empty_ctrl_class_is_flagged_not_fabricated():
     cfg = ProtocolConfig(n=2, seed=4, p_sift=1.0 - 1e-12)
-    tr = run_protocol(cfg, identity_attack(0.0))
+    tr = run_protocol(cfg, IDENTITY)
     assert tr.ctrl_x_count == 0
     est = tr.estimated
     assert est.p_e_minus is None
@@ -163,7 +154,7 @@ def test_empty_ctrl_class_is_flagged_not_fabricated():
 
 
 def test_estimate_statistics_matches_transcript_field():
-    tr = run_protocol(ProtocolConfig(n=300, seed=6), depolarizing_attack(0.1, 0.2))
+    tr = run_protocol(ProtocolConfig(n=300, seed=6), depolarizing_attack(0.2, 0.1))
     est = tr.estimated
     assert est.p00.n_samples == tr.sift_z_count
     assert est.p0_plus.n_samples == tr.sift_x_count
@@ -186,7 +177,7 @@ def read_export(path):
 
 
 def test_round_records_are_consistent(tmp_path):
-    tr = run_protocol(ProtocolConfig(n=50, seed=14), depolarizing_attack(0.3, 0.1))
+    tr = run_protocol(ProtocolConfig(n=50, seed=14), depolarizing_attack(0.1, 0.3))
     tr.to_csv(tmp_path / "t.csv")
     rows, _ = read_export(tmp_path / "t.csv")
     assert [int(row[0]) for row in rows] == list(range(tr.n_rounds))
@@ -225,7 +216,7 @@ DEFAULT_CHUNK = sqkd.protocol.CHUNK
 @pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
 def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(sqkd.protocol, "CHUNK", chunk)
-    transcripts = [run_protocol(ProtocolConfig(**cfg), depolarizing_attack(q, b)) for cfg, q, b in EXPORT_RUNS]
+    transcripts = [run_protocol(ProtocolConfig(**cfg), depolarizing_attack(b, q)) for cfg, q, b in EXPORT_RUNS]
     for tr, digest in zip(transcripts, EXPORT_SHA256):
         tr.to_csv(tmp_path / "t.csv")
         assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
@@ -251,7 +242,7 @@ def test_block_writer_matches_the_per_row_writer(start):
 
 @pytest.mark.parametrize("cfg, q, b", EXPORT_RUNS)
 def test_summary_matches_an_independent_tally_of_the_rows(tmp_path, cfg, q, b):
-    tr = run_protocol(ProtocolConfig(**cfg), depolarizing_attack(q, b))
+    tr = run_protocol(ProtocolConfig(**cfg), depolarizing_attack(b, q))
     tr.to_csv(tmp_path / "t.csv")
     rows, summary = read_export(tmp_path / "t.csv")
     tally = Counter(tuple(row[1:]) for row in rows)
@@ -307,7 +298,7 @@ def test_ten_million_rounds_keep_memory_bounded():
 
 def test_transcript_csv_export(tmp_path):
     cfg = ProtocolConfig(n=20, seed=1)
-    tr = run_protocol(cfg, identity_attack(0.0))
+    tr = run_protocol(cfg, IDENTITY)
     path = tmp_path / "transcript.csv"
     tr.to_csv(path)
     lines = path.read_text().splitlines()
@@ -320,5 +311,5 @@ def test_transcript_csv_export(tmp_path):
     assert any(l.startswith("# p00=") for l in summary)
     # byte-identical on a repeated run
     path2 = tmp_path / "transcript2.csv"
-    run_protocol(cfg, identity_attack(0.0)).to_csv(path2)
+    run_protocol(cfg, IDENTITY).to_csv(path2)
     assert path.read_bytes() == path2.read_bytes()
