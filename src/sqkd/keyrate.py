@@ -172,8 +172,11 @@ def depolarizing_stats(b, q) -> ObservedStatistics | StatisticsColumns:
 
 
 def _h(x: float) -> float:
-    """Binary entropy h(x) in bits, 0 at both ends of [0, 1]."""
-    if x <= 0.0 or x >= 1.0:
+    """Binary entropy h(x) in bits, 0 at both ends of [0, 1].
+
+    Outside [0, 1] one of the logarithms raises ValueError.
+    """
+    if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 

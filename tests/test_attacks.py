@@ -21,17 +21,24 @@ from sqkd.keyrate import depolarizing_stats, key_rate_bound
 STAT_FIELDS = ("p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus")
 
 BIT_FLIP = dict(e00=[0.0], e01=[1.0], e10=[1.0], e11=[0.0])
+IDENTITY = dict(e00=[1.0], e01=[0.0], e10=[0.0], e11=[1.0])
 
 
 # ------------------------------------------------------- attack construction
 
 
-def test_injected_state_amplitudes():
-    # Eve injects sqrt(1/2+b)|0> + sqrt(1/2-b)|1> toward Bob
+def test_make_e_state_known_values():
+    # Eve injects |e> = sqrt(1/2+b)|0> + sqrt(1/2-b)|1> toward Bob
     for b, want in ((0.0, (math.sqrt(0.5), math.sqrt(0.5))), (0.5, (1.0, 0.0)),
                     (0.3, (math.sqrt(0.8), math.sqrt(0.2)))):
-        atk = RestrictedAttack(b, e00=[1.0], e01=[0.0], e10=[0.0], e11=[1.0])
+        atk = RestrictedAttack(b, **IDENTITY)
         assert_allclose((atk.alpha, atk.beta), want, atol=1e-15)
+
+
+def test_make_e_state_rejects_out_of_range():
+    for b in (0.6, -0.51):
+        with pytest.raises(ValueError, match="bias must lie"):
+            RestrictedAttack(b, **IDENTITY)
 
 
 def test_attack_from_identity_unitary():
@@ -121,7 +128,16 @@ def test_depolarizing_channel_rejects_out_of_range():
         depolarizing_attack(0.6, 0.5)
 
 
-def test_depolarizing_attack_matches_closed_forms():
+def test_attack_from_kraus_identity_channel():
+    # the q = 0 dilation acts as the identity channel
+    for b in (0.0, 0.3, -0.45):
+        stats = compute_statistics(depolarizing_attack(b, 0.0))
+        ident = compute_statistics(RestrictedAttack(b, **IDENTITY))
+        for name in STAT_FIELDS:
+            assert getattr(stats, name) == pytest.approx(getattr(ident, name), abs=1e-15)
+
+
+def test_attack_from_kraus_depolarizing_matches_closed_forms():
     for b in np.linspace(-0.45, 0.45, 7):
         for q in np.linspace(0.0, 1.0, 9):
             got = compute_statistics(depolarizing_attack(b, q))

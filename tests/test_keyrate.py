@@ -18,7 +18,6 @@ from sqkd.attacks import (
 from sqkd.fileio import ParseError
 from sqkd.keyrate import (
     COARSE_STEP,
-    _h,
     _lambda,
     depolarizing_bound,
     depolarizing_stats,
@@ -417,31 +416,30 @@ def test_threshold_stops_at_ulp_resolution():
     assert threshold_b(0.0, 1e-20) == 0.5
 
 
-# ------------------------------------------------------- scalar entropy
+# --------------------------------------------------------- entropy terms
 
 
-def test_binary_entropy_known_values():
-    assert _h(0.5) == 1.0
-    assert _h(0.0) == 0.0
-    assert _h(1.0) == 0.0
-    # frozen from a 50-digit oracle: h(0.11) = 0.49991595816528...
-    assert round(_h(0.11), 5) == 0.49992
-    assert _h(0.11) == pytest.approx(0.49991595816528, abs=1e-12)
+def test_entropy_terms_known_values():
+    # the report's entropy terms: h_A = h(p00 + p01), k0 = h(k1), k2
+    report = key_rate_bound(IDENTITY_STATS)
+    assert (report.h_A, report.k0, report.k1, report.k2) == (1.0, 0.0, 1.0, 0.0)
 
+    quarter = ObservedStatistics(
+        bias=0.0, p00=0.25, p01=0.25, p10=0.25, p11=0.25,
+        p_e_minus=0.5, p0_plus=0.25, p1_plus=0.25,
+    )
+    report = key_rate_bound(quarter)
+    assert (report.h_A, report.k0, report.k1, report.k2) == (1.0, 1.0, 0.5, 0.5)
+    assert report.abort and report.lam == 0.5
+    assert report.bound == pytest.approx(-1.0, abs=1e-12)
 
-def test_binary_entropy_matches_high_precision_oracle():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 50
-    for x in (0.11, 0.25, 0.5, 0.75, 0.9999, 1e-9):
-        want = float(-mp.mpf(x) * mp.log(x, 2) - (1 - mp.mpf(x)) * mp.log(1 - mp.mpf(x), 2))
-        assert _h(x) == pytest.approx(want, abs=1e-12)
-
-
-@given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-def test_binary_entropy_symmetric_and_bounded(x):
-    h = _h(x)
-    assert 0.0 <= h <= 1.0 + 1e-12
-    assert h == pytest.approx(_h(1.0 - x), abs=1e-12)
+    report = key_rate_bound(depolarizing_stats(0.0, 0.2))
+    assert report.h_A == 1.0
+    assert report.k1 == pytest.approx(0.9, abs=1e-15)
+    assert report.k2 == pytest.approx(0.1, abs=1e-15)
+    # h(0.9), frozen from the four-outcome entropy 1.46899559359 = h(0.9) + 1
+    assert report.k0 == pytest.approx(0.46899559359, abs=1e-9)
+    assert report.k0 == pytest.approx(oracle.h2(0.9), abs=1e-15)
 
 
 # ------------------------------------------------------------------ Q_X

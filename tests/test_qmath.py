@@ -1,3 +1,11 @@
+"""The scalar and matrix entropies the bound and its reference rest on.
+
+The binary entropy is ``keyrate._h``, which the threshold searches evaluate;
+the larger eigenvalue of a 2x2 density operator is the kernel's closed form
+``keyrate._lambda``; the von Neumann entropy is the one ``oracle.exact_rate``
+takes of its dense matrices.
+"""
+
 import math
 
 import numpy as np
@@ -6,12 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sqkd import qmath
-from sqkd.attacks import make_e_state, random_unitary
+import oracle
+from sqkd.keyrate import _h, _lambda
 
 
 def random_density(rng, dim):
-    u = random_unitary(dim, rng)
+    u = oracle.haar_unitary(dim, rng)
     p = rng.dirichlet(np.ones(dim))
     return (u * p) @ u.conj().T
 
@@ -19,47 +27,13 @@ def random_density(rng, dim):
 # ---------------------------------------------------------------- entropies
 
 
-@pytest.mark.parametrize("probs, expected", [
-    ([0.5, 0.5], 1.0),
-    ([1.0, 0.0, 0.0, 0.0], 0.0),
-    ([0.25, 0.25, 0.25, 0.25], 2.0),
-])
-def test_shannon_entropy_known_values(probs, expected):
-    assert qmath.shannon_entropy(probs) == pytest.approx(expected, abs=1e-12)
-
-
-def test_shannon_entropy_clamps_tiny_negatives():
-    assert qmath.shannon_entropy([1.0, -1e-13]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_shannon_entropy_rejects_bad_input():
-    with pytest.raises(ValueError):
-        qmath.shannon_entropy([0.5, 0.6])
-    with pytest.raises(ValueError):
-        qmath.shannon_entropy([1.1, -0.1])
-    with pytest.raises(ValueError):
-        qmath.shannon_entropy([])
-
-
-@given(st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=2**32 - 1))
-def test_shannon_entropy_bounded_by_log_dim(n, seed):
-    p = np.random.default_rng(seed).dirichlet(np.ones(n))
-    h = qmath.shannon_entropy(p)
-    assert -1e-12 <= h <= math.log2(n) + 1e-9
-
-
-def test_shannon_entropy_maximal_iff_uniform():
-    assert qmath.shannon_entropy([1 / 8] * 8) == pytest.approx(3.0, abs=1e-12)
-    assert qmath.shannon_entropy([0.3, 0.2, 0.2, 0.3]) < 2.0 - 1e-3
-
-
 def test_binary_entropy_known_values():
-    assert qmath.binary_entropy(0.5) == 1.0
-    assert qmath.binary_entropy(0.0) == 0.0
-    assert qmath.binary_entropy(1.0) == 0.0
+    assert _h(0.5) == 1.0
+    assert _h(0.0) == 0.0
+    assert _h(1.0) == 0.0
     # frozen from a 50-digit oracle: h(0.11) = 0.49991595816528...
-    assert round(qmath.binary_entropy(0.11), 5) == 0.49992
-    assert qmath.binary_entropy(0.11) == pytest.approx(0.49991595816528, abs=1e-12)
+    assert round(_h(0.11), 5) == 0.49992
+    assert _h(0.11) == pytest.approx(0.49991595816528, abs=1e-12)
 
 
 def test_binary_entropy_matches_high_precision_oracle():
@@ -67,44 +41,51 @@ def test_binary_entropy_matches_high_precision_oracle():
     mp.mp.dps = 50
     for x in (0.11, 0.25, 0.5, 0.75, 0.9999, 1e-9):
         want = float(-mp.mpf(x) * mp.log(x, 2) - (1 - mp.mpf(x)) * mp.log(1 - mp.mpf(x), 2))
-        assert qmath.binary_entropy(x) == pytest.approx(want, abs=1e-12)
+        assert _h(x) == pytest.approx(want, abs=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_binary_entropy_symmetric_and_bounded(x):
-    h = qmath.binary_entropy(x)
+    h = _h(x)
     assert 0.0 <= h <= 1.0 + 1e-12
-    assert h == pytest.approx(qmath.binary_entropy(1.0 - x), abs=1e-12)
+    assert h == pytest.approx(_h(1.0 - x), abs=1e-12)
 
 
 def test_binary_entropy_rejects_out_of_range():
     with pytest.raises(ValueError):
-        qmath.binary_entropy(-0.01)
+        _h(-0.01)
     with pytest.raises(ValueError):
-        qmath.binary_entropy(1.01)
+        _h(1.01)
 
 
 def test_von_neumann_entropy_known_values():
-    assert qmath.von_neumann_entropy(np.outer(qmath.KET0, qmath.KET0)) == 0.0
-    assert qmath.von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
-    got = qmath.von_neumann_entropy(np.diag([0.75, 0.25]))
-    assert got == pytest.approx(qmath.binary_entropy(0.75), abs=1e-12)
+    assert oracle._entropy(np.diag([1.0, 0.0])) == 0.0
+    assert oracle._entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+    got = oracle._entropy(np.diag([0.75, 0.25]))
+    assert got == pytest.approx(_h(0.75), abs=1e-12)
     assert round(got, 5) == 0.81128
-
-
-def test_von_neumann_entropy_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        qmath.von_neumann_entropy(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
 def test_von_neumann_entropy_non_negative_battery():
     rng = np.random.default_rng(11)
     for _ in range(200):
         dim = int(rng.integers(2, 9))
-        assert qmath.von_neumann_entropy(random_density(rng, dim)) >= 0.0
+        assert oracle._entropy(random_density(rng, dim)) >= 0.0
 
 
 # ------------------------------------------------------------- 2x2 spectrum
+
+
+def spectrum_2x2(m):
+    """Eigenvalues of a 2x2 positive semidefinite m, largest first, from _lambda.
+
+    _lambda(p00, p11, B) is the larger eigenvalue of [[p00, B], [B*, p11]]
+    divided by its trace; only |B| enters.
+    """
+    m = np.asarray(m, dtype=complex)
+    t = (m[0, 0] + m[1, 1]).real
+    lam = float(_lambda(m[0, 0].real, m[1, 1].real, abs(m[0, 1])))
+    return t * lam, t * (1.0 - lam)
 
 
 @pytest.mark.parametrize("m, expected", [
@@ -112,114 +93,16 @@ def test_von_neumann_entropy_non_negative_battery():
     ([[0.5, 0.5], [0.5, 0.5]], (1.0, 0.0)),
 ])
 def test_eig_hermitian_2x2_known_values(m, expected):
-    assert_allclose(qmath.eig_hermitian_2x2(np.array(m)), expected, atol=1e-12)
+    assert_allclose(spectrum_2x2(np.array(m)), expected, atol=1e-12)
 
 
 def test_eig_hermitian_2x2_matches_generic_eigensolver():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        m = (a + a.conj().T) / 2
-        lam = qmath.eig_hermitian_2x2(m)
+        m = a @ a.conj().T
+        lam = spectrum_2x2(m)
         want = np.linalg.eigvalsh(m)[::-1]
         assert_allclose(lam, want, atol=1e-10)
         assert lam[0] + lam[1] == pytest.approx(np.trace(m).real, abs=1e-12)
-
-
-def test_eig_hermitian_2x2_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        qmath.eig_hermitian_2x2(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-# ------------------------------------------------------ products and traces
-
-
-def test_tensor_known_values():
-    assert_allclose(qmath.tensor(qmath.KET0, qmath.KET1), [0, 1, 0, 0], atol=1e-15)
-    assert_allclose(qmath.tensor(np.eye(2) / 2, np.eye(2) / 2), np.eye(4) / 4, atol=1e-15)
-    assert_allclose(qmath.tensor(qmath.KET_PLUS, qmath.KET_PLUS), [0.5] * 4, atol=1e-15)
-
-
-def test_tensor_rejects_mixed_kinds():
-    with pytest.raises(ValueError):
-        qmath.tensor(qmath.KET0, np.eye(2))
-
-
-def test_partial_trace_known_values():
-    ket01 = qmath.tensor(qmath.KET0, qmath.KET1)
-    assert_allclose(
-        qmath.partial_trace(qmath.projector(ket01), [2, 2], keep=[1]),
-        qmath.projector(qmath.KET1), atol=1e-15,
-    )
-    bell = (qmath.tensor(qmath.KET0, qmath.KET0) + qmath.tensor(qmath.KET1, qmath.KET1)) / math.sqrt(2)
-    assert_allclose(
-        qmath.partial_trace(qmath.projector(bell), [2, 2], keep=[0]),
-        np.eye(2) / 2, atol=1e-15,
-    )
-
-
-def test_partial_trace_of_product_recovers_marginal():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        rho_a = random_density(rng, da)
-        rho_b = random_density(rng, db)
-        joint = qmath.tensor(rho_a, rho_b)
-        assert_allclose(qmath.partial_trace(joint, [da, db], keep=[0]), rho_a, atol=1e-12)
-        assert_allclose(qmath.partial_trace(joint, [da, db], keep=[1]), rho_b, atol=1e-12)
-        reduced = qmath.partial_trace(joint, [da, db], keep=[0])
-        assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_trace_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        qmath.partial_trace(np.eye(4) / 4, [2, 3], keep=[0])
-    with pytest.raises(ValueError):
-        qmath.partial_trace(np.eye(4) / 4, [2, 2], keep=[2])
-
-
-# ------------------------------------------------------------- measurements
-
-
-def test_measure_probability_known_values():
-    p0 = qmath.projector(qmath.KET0)
-    assert qmath.measure_probability(p0, p0) == pytest.approx(1.0, abs=1e-12)
-    plus = qmath.projector(qmath.KET_PLUS)
-    assert qmath.measure_probability(plus, qmath.projector(qmath.KET1)) == pytest.approx(0.5, abs=1e-12)
-    e = qmath.projector(make_e_state(0.3))
-    assert qmath.measure_probability(e, p0) == pytest.approx(0.8, abs=1e-12)
-
-
-def test_measure_probability_complete_set_sums_to_one():
-    rng = np.random.default_rng(9)
-    rho = random_density(rng, 4)
-    u = random_unitary(4, rng)
-    total = sum(qmath.measure_probability(rho, qmath.projector(u[:, k])) for k in range(4))
-    assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_measure_probability_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        qmath.measure_probability(np.eye(2) / 2, np.eye(4))
-
-
-# ---------------------------------------------------------------- validators
-
-
-def test_as_state_vector_checks_norm():
-    v = qmath.as_state_vector([1.0, 0.0])
-    assert v.dtype == complex
-    with pytest.raises(ValueError):
-        qmath.as_state_vector([1.0, 0.5])
-    qmath.as_state_vector([0.5, 0.5], normalized=False)
-    with pytest.raises(ValueError):
-        qmath.as_state_vector([np.nan, 0.0], normalized=False)
-
-
-def test_check_density_operator():
-    qmath.check_density_operator(np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        qmath.check_density_operator(np.eye(2))  # trace 2
-    qmath.check_density_operator(np.eye(2), check_trace=False)
-    with pytest.raises(ValueError):
-        qmath.check_density_operator(np.diag([1.5, -0.5]))  # negative eigenvalue
+    assert math.isclose(spectrum_2x2(np.diag([0.3, 0.7]))[0], 0.7, abs_tol=1e-15)
