@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from sqkd.fileio import fmt
+from sqkd.fileio import csv_rows, fmt
 from sqkd.keyrate import depolarizing_stats, key_rate_bound, threshold_q
 
 BIAS_VALUES = (0.0, 0.1, 0.2, 0.3, 0.4)
@@ -27,10 +27,9 @@ def _bound_column(b, q):
 
 
 def _write_table(path, header, x, columns):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header)
-        for row in zip(x.tolist(), *(c.tolist() for c in columns)):
-            fh.write(",".join(map(fmt, row)) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(csv_rows(x, *columns))
 
 
 def write_noise_sweep(path, n_points=400):

@@ -1,7 +1,8 @@
 """Command line front end: bound, sweep, threshold, simulate, validate.
 
 Exit codes: 0 on success, 1 on input errors, 2 when the computed quantity
-signals a protocol abort (or an attack file fails validation).
+signals a protocol abort (or an attack file fails validation), and 141
+(128 + SIGPIPE) with nothing on stderr when the reader of stdout stops early.
 """
 
 from __future__ import annotations
@@ -9,28 +10,35 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import re
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attacks, keyrate, protocol
-from .fileio import ParseError, fmt
+from .fileio import csv_rows, fmt
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_ABORT = 2
+EXIT_PIPE = 141
 
 MAX_GRID = 10**6
 
 #: grid points sweep evaluates and writes per pass; it bounds sweep's memory
 SWEEP_CHUNK = 4096
-_SWEEP_ROW = "%.12g,%.12g\n"  # the digits of fileio.fmt
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse prints the usage and exits with status 2 on bad flags; the CLI
     contract wants one error line and status 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes -1e-3 for a flag; any negative decimal or exponent literal is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -77,6 +85,16 @@ class SweepSpec:
             return keyrate.depolarizing_stats(self.fixed_value, x)
         return keyrate.depolarizing_stats(x, self.fixed_value)
 
+    def check(self) -> None:
+        """Reject a bad grid point.  The points rise and the valid b and q are intervals,
+        so the ends decide; only a bad grid pays for the scan that names its first bad point."""
+        try:
+            self.statistics(self.start + np.array([0, self.grid_size() - 1]) * self.step)
+        except ValueError:
+            for x in self.chunks():
+                self.statistics(x)
+            raise
+
 
 def _statistics_from_args(args) -> attacks.ObservedStatistics:
     sources = [args.stats is not None, args.attack is not None, args.b is not None or args.q is not None]
@@ -104,14 +122,11 @@ def cmd_sweep(args) -> int:
         start=args.start, stop=args.stop, step=args.step,
         output_path=args.out,
     )
-    # a bad grid point is rejected before the file is opened
-    for x in spec.chunks():
-        spec.statistics(x)
-    with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,f\n")
+    spec.check()  # before the file is opened
+    with open(spec.output_path, "wb") as fh:
+        fh.write(b"x,f\n")
         for x in spec.chunks():
-            f = keyrate.key_rate_bound(spec.statistics(x)).bound
-            fh.write(_SWEEP_ROW * x.size % tuple(np.column_stack((x, f)).ravel().tolist()))
+            fh.write(csv_rows(x, keyrate.key_rate_bound(spec.statistics(x)).bound))
     print(f"rows={spec.grid_size()}")
     print(f"out={spec.output_path}")
     return EXIT_OK
@@ -242,11 +257,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"sqkd: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return EXIT_PIPE
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"sqkd: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

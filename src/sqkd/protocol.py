@@ -64,10 +64,6 @@ _ROW_END = np.array([end.encode() for end in _ROW_SUFFIX], dtype="S12").view("V1
 # a round index is written as 4-digit groups, enough for every index below MAX_ROUNDS
 _GROUPS = -(-len(str(MAX_ROUNDS - 1)) // 4)
 _INDEX_WIDTH = 4 * _GROUPS
-# b"0000" ... b"9999", one 4-byte word each
-_DIGITS = np.stack(
-    np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4, indexing="ij"), axis=-1
-).view(np.uint32).ravel()
 # _KEEP[g, d] masks the bytes of group g that an index of d digits shows
 _KEEP = np.ascontiguousarray(
     np.where(np.arange(_INDEX_WIDTH) >= _INDEX_WIDTH - np.arange(_INDEX_WIDTH + 1)[:, None], 0xFF, 0)
@@ -277,7 +273,7 @@ def _rows(start: int, cells: np.ndarray) -> bytes:
     records = np.empty((cells.size, _GROUPS + 3), dtype=np.uint32)
     for g in range(_GROUPS):
         group = index // 10 ** (4 * (_GROUPS - 1 - g)) % 10**4
-        records[:, g] = _DIGITS[group] & _KEEP[g, n_digits]
+        records[:, g] = fileio._DIGITS[group] & _KEEP[g, n_digits]
     records[:, _GROUPS:].view("V12")[:, 0] = _ROW_END[cells]
     return records.tobytes().translate(None, b"\0")
 

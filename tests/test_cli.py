@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -187,6 +188,55 @@ def test_sweep_bad_grid_point_writes_no_file(capsys, tmp_path):
     assert code == 1
     assert err.splitlines() == [f"sqkd: error: bias must lie in [-1/2, 1/2], got {first_bad!r}"]
     assert not out_path.exists()
+
+
+def test_sweep_bad_fixed_value_writes_no_file(capsys, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--var", "b", "--fixed", "1.5",
+        "--start", "0", "--stop", "0.4", "--step", "0.01", "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sqkd: error: depolarizing parameter must lie in [0, 1], got 1.5"]
+    assert not out_path.exists()
+
+
+def test_sweep_bad_first_point_writes_no_file(capsys, tmp_path):
+    # every later point of this grid is good
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--var", "q", "--fixed", "0.1",
+        "--start=-0.001", "--stop", "0.5", "--step", "0.001", "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sqkd: error: depolarizing parameter must lie in [0, 1], got -0.001"]
+    assert not out_path.exists()
+
+
+# sha256 of the CSV files the per-value "%.12g" writer wrote for these grids:
+# over q to 1 across two chunk boundaries and into the abort region, over b
+# at q = 0 (the clamp), and from 1e-07 through f = 0 (exponent notation)
+SWEEP_GRIDS = (
+    ("q", "0.2", "0", "1", repr(1 / 8199)),
+    ("b", "0", "-0.5", "0.5", "0.0025"),
+    ("q", "-0.3", "1e-07", "0.9", "0.00293"),
+)
+SWEEP_SHA256 = (
+    "760f471b249952fd9f14f614858238746785d2db5226994bf4459f54232724ae",
+    "9d7c9813e7aa1833c3d0b1a35f77c7c5ae8aec6dce7c0eb1873edf420c1769ac",
+    "d3ba4ac7540c0673dc44bd7ea6601afbb3930a1cd89c9d778ba46994a3c039ba",
+)
+
+
+# at one point per chunk the 8200-point grid would take seconds of kernel calls
+@pytest.mark.parametrize("chunk, grids", [(1, (1, 2)), (7, (0, 1, 2)), (cli.SWEEP_CHUNK, (0, 1, 2))])
+def test_sweep_csv_is_byte_identical_at_any_chunk_size(capsys, tmp_path, monkeypatch, chunk, grids):
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    out_path = tmp_path / "grid.csv"
+    for i in grids:
+        var, fixed, start, stop, step = SWEEP_GRIDS[i]
+        code, _, _ = run_cli(capsys, "sweep", "--var", var, "--fixed", fixed, "--start", start,
+                             "--stop", stop, "--step", step, "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SWEEP_SHA256[i]
 
 
 def _bound_line(b, q):
@@ -449,6 +499,52 @@ def test_argparse_errors_are_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+def test_negative_numbers_in_exponent_form_are_values(capsys, tmp_path):
+    assert run_cli(capsys, "bound", "--b", "-1e-3", "--q", "0.1") == run_cli(capsys, "bound", "--b=-1e-3", "--q", "0.1")
+    code, _, err = run_cli(capsys, "bound", "--b", "-2.5E-1", "--q", "-.1e1")
+    assert code == 1 and err.splitlines() == ["sqkd: error: depolarizing parameter must lie in [0, 1], got -1.0"]
+    out_path = tmp_path / "grid.csv"
+    code, out, _ = run_cli(capsys, "sweep", "--var", "b", "--fixed", "0", "--start", "-5e-1",
+                           "--stop", "-4.9e-1", "--step", "1e-3", "--out", str(out_path))
+    assert code == 0 and out == f"rows=11\nout={out_path}\n"
+    assert out_path.read_text().splitlines()[:3] == ["x,f", "-0.5,0", f"-0.499,{_bound_line(-0.499, 0.0)[6:]}"]
+    # a word that is not a number is still read as a flag
+    code, out, err = run_cli(capsys, "bound", "--b", "-1e-3", "--q", "0.1", "--bogus", "-1e-3")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sqkd: error: unrecognized arguments: --bogus -1e-3"]
+    code, _, err = run_cli(capsys, "bound", "--b", "-e3", "--q", "0.1")
+    assert code == 1 and err.splitlines() == ["sqkd bound: error: argument --b: expected one argument"]
+
+
+def _sqkd(*argv, **kwargs):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = f"import sys; from sqkd import cli; sys.exit(cli.main({list(argv)!r}))"
+    return subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src}, **kwargs)
+
+
+def test_a_reader_that_stops_early_ends_the_command_quietly(tmp_path):
+    # the sweep writes 2.5 MB into the pipe, far more than it buffers, so it
+    # is still writing when the reader closes after the header
+    child = _sqkd("sweep", "--var", "q", "--fixed", "0.1", "--start", "0", "--stop", "1",
+                  "--step", "1e-05", "--out", "/dev/stdout", stdout=subprocess.PIPE)
+    assert child.stdout.readline() == b"x,f\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == cli.EXIT_PIPE
+    assert child.stderr.read() == b""
+
+
+def test_a_closed_stdout_ends_bound_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = _sqkd("bound", "--b", "0.1", "--q", "0.1", stdout=write)
+    finally:
+        os.close(write)
+    assert child.wait(timeout=60) == cli.EXIT_PIPE
+    assert child.stderr.read() == b""
 
 
 def test_help_exits_zero(capsys):

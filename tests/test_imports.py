@@ -2,10 +2,12 @@
 
 ``bench/oracle.py`` computes the values the tests and the benchmark compare
 against; if it imported sqkd, a fault in sqkd could also move the reference.
+The package itself needs nothing beyond the standard library and numpy.
 """
 
 import ast
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -32,3 +34,11 @@ def test_src_imports_neither_the_oracle_nor_the_tests():
         for name in imported_modules(path):
             top = name.split(".")[0]
             assert top not in ("oracle", "bench", "tests", "conftest") and not top.startswith("test_"), (path.name, name)
+
+
+def test_src_imports_only_the_standard_library_numpy_and_itself():
+    # a speed-up must not bring in a compiled dependency
+    for path in sorted((ROOT / "src" / "sqkd").glob("*.py")):
+        for name in imported_modules(path):
+            top = name.split(".")[0]
+            assert name.startswith(".") or top in ("numpy", "sqkd") or top in sys.stdlib_module_names, (path.name, name)

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -38,3 +40,20 @@ def test_make_figure_data_writes_its_three_tables(tmp_path):
         assert lines[0] == header
         assert len(lines) == rows + 1
         assert all(line.count(",") == header.count(",") for line in lines)
+
+
+# as the per-value fmt writer wrote them, before the tables went through csv_rows
+FIGURE_SHA256 = {
+    "noise_sweep.csv": "132d47358fb9a1759e157e65dcbe70b2f51229f51e290099b8817913d75941e9",
+    "bias_sweep.csv": "017fd5ad977fd03823bdd4aabb5b68fae97382413fb6871043f58caaee59b84d",
+}
+
+
+def test_make_figure_data_sweep_tables_are_byte_identical(tmp_path):
+    spec = importlib.util.spec_from_file_location("make_figure_data", os.path.join(SCRIPTS, "make_figure_data.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.write_noise_sweep(tmp_path / "noise_sweep.csv")
+    script.write_bias_sweep(tmp_path / "bias_sweep.csv")
+    for name, digest in FIGURE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
