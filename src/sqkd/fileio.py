@@ -37,7 +37,7 @@ _PAIRS = np.insert(_QUADS, [1, 2, 3, 4], ord("."), axis=1).view(np.uint64).ravel
 # _SIGNIFICANT[j][g]: the significant digits of a 12-digit number whose j-th 4-digit group is g > 0
 _SIGNIFICANT = ((_QUADS > ord("0")) * np.arange(1, 13, dtype=np.uint8).reshape(3, 1, 4)).max(-1)
 _HEAD = np.frombuffer(b"\x00" b"0.000\0\0" b"-0.000\0\0", dtype=np.uint64)
-_TAIL = np.frombuffer(b"".join(b"e%+03d\0\0\0\0" % x for x in range(-34, 35)), dtype=np.uint64)
+_TAIL = np.frombuffer(b"".join(b"e%+03d\0\0\0\0" % x for x in range(-11, 35)), dtype=np.uint64)
 _COMMA, _NEWLINE = np.frombuffer(b"\0\0\0\0,\0\0\0\0\0\0\0\n\0\0\0", dtype=np.uint64)
 _POW10 = np.array([float(10**k) for k in range(23)])  # all exact
 _TIE_BAND = 1e-3  # scaling |v| moves m by at most 6.2e-5, far less than this
@@ -96,7 +96,7 @@ def csv_rows(*columns) -> bytes:
     records[:, 0] = np.where(values < 0, _HEAD[1], _HEAD[0])
     for j, group in enumerate(groups, start=1):
         records[:, j] = _PAIRS[group]
-    records[:, 4] = _TAIL[exponent + 34] | _COMMA
+    records[:, 4] = _TAIL[exponent + 11] | _COMMA
     records.reshape(-1, len(columns), 5)[:, -1, 4] ^= _COMMA ^ _NEWLINE
     text = np.array([fmt(v).encode() for v in values[~fast].tolist()], dtype="S32")
     records[~fast, :4] = text.view(np.uint64).reshape(-1, 4)
