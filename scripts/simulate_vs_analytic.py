@@ -28,10 +28,10 @@ def main():
             print(f"\nb={b}  q={q}  rounds={tr.n_rounds}  abort={tr.abort_reason}")
             for name in STAT_FIELDS:
                 est = getattr(tr.estimated, name)
-                true = b if name == "bias" else getattr(analytic, name)
+                true = b if name == "bias" else getattr(analytic, name)[0]
                 z = abs(est.value - true) / est.se if est.se else 0.0
                 print(f"  {name:10s} est={est.value:.5f}  exact={true:.5f}  |z|={z:.2f}")
-            est_bound = key_rate_bound(tr.estimated.to_observed()).bound
+            est_bound = key_rate_bound(tr.estimated.to_observed()).bound[0]
             print(f"  bound from estimates: {est_bound:.5f}   f(b,q): {depolarizing_bound(b, q):.5f}")
 
 

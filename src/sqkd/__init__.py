@@ -2,9 +2,8 @@
 semi-quantum key distribution protocol under collective attacks."""
 
 from .attacks import (
-    ObservedStatistics,
     RestrictedAttack,
-    StatisticsColumns,
+    Statistics,
     compute_statistics,
     depolarizing_attack,
     load_attack,
@@ -27,9 +26,8 @@ from .protocol import (
 )
 
 __all__ = [
-    "ObservedStatistics",
     "RestrictedAttack",
-    "StatisticsColumns",
+    "Statistics",
     "compute_statistics",
     "depolarizing_attack",
     "load_attack",

@@ -122,49 +122,42 @@ def depolarizing_attack(b: float, q: float) -> RestrictedAttack:
 #: the bias and the seven observable probabilities, in field order
 STAT_FIELDS = ("bias", "p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus")
 
+# the range of each field, as columns against the fields stacked in rows
+_LOW = np.array([[-0.5]] + [[-ATOL]] * 7)
+_HIGH = np.array([[0.5]] + [[1.0 + ATOL]] * 7)
+# p0_plus <= 1/2 + b and p1_plus <= 1/2 - b; -1 * b is exact, so the bounds
+# are the doubles the scalar checks compare with
+_PLUS_SIGN = np.array([[1.0], [-1.0]])
 
-@dataclass(frozen=True)
-class ObservedStatistics:
-    """The seven probabilities the legitimate users can estimate, plus the bias.
+
+def _check_point(bias, p00, p01, p10, p11, p_e_minus, p0_plus, p1_plus) -> None:
+    """Raise the message of the first check that one point fails."""
+    _check_bias(bias)
+    for name, p in zip(STAT_FIELDS[1:], (p00, p01, p10, p11, p_e_minus, p0_plus, p1_plus)):
+        if not -ATOL <= p <= 1.0 + ATOL or p != p:
+            raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+    total = p00 + p01 + p10 + p11
+    if abs(total - 1.0) > ATOL:
+        raise ValueError(f"p00+p01+p10+p11 must equal 1, got {total!r}")
+    if p0_plus > 0.5 + bias + ATOL:
+        raise ValueError(f"p0_plus={p0_plus!r} exceeds 1/2+b={0.5 + bias!r}")
+    if p1_plus > 0.5 - bias + ATOL:
+        raise ValueError(f"p1_plus={p1_plus!r} exceeds 1/2-b={0.5 - bias!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class Statistics:
+    """The seven probabilities the legitimate users can estimate, plus the bias,
+    at one or more points: one flat read-only float64 array per field.
 
     p00..p11 are P(alice=i, bob=j) conditioned on measure-and-Z rounds and
     therefore sum to 1.  p_e_minus is the '-' probability on reflected X
     rounds; p0_plus / p1_plus are the joint probabilities of (bob resent 0,
     alice saw +) and (bob resent 1, alice saw +) on measure-and-X rounds.
-    """
 
-    bias: float
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-    p_e_minus: float
-    p0_plus: float
-    p1_plus: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "bias", _check_bias(self.bias))
-        for name in STAT_FIELDS[1:]:
-            p = float(getattr(self, name))
-            if not -ATOL <= p <= 1.0 + ATOL or p != p:
-                raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-            object.__setattr__(self, name, p)
-        total = self.p00 + self.p01 + self.p10 + self.p11
-        if abs(total - 1.0) > ATOL:
-            raise ValueError(f"p00+p01+p10+p11 must equal 1, got {total!r}")
-        if self.p0_plus > 0.5 + self.bias + ATOL:
-            raise ValueError(f"p0_plus={self.p0_plus!r} exceeds 1/2+b={0.5 + self.bias!r}")
-        if self.p1_plus > 0.5 - self.bias + ATOL:
-            raise ValueError(f"p1_plus={self.p1_plus!r} exceeds 1/2-b={0.5 - self.bias!r}")
-
-
-@dataclass(frozen=True)
-class StatisticsColumns:
-    """ObservedStatistics of many points at once: one flat float64 array per field.
-
-    The fields are broadcast together.  Construction runs every
-    ObservedStatistics check at every point and rejects the first bad point
-    with the message ObservedStatistics gives for it.
+    The fields are broadcast together; scalars give one point.  Construction
+    checks every point and rejects the first bad one with the message of the
+    first check it fails.
     """
 
     bias: np.ndarray
@@ -177,26 +170,27 @@ class StatisticsColumns:
     p1_plus: np.ndarray
 
     def __post_init__(self):
-        columns = np.broadcast_arrays(*(np.asarray(getattr(self, name), dtype=float) for name in STAT_FIELDS))
-        for name, column in zip(STAT_FIELDS, columns):
-            object.__setattr__(self, name, column.ravel())
-        b = self.bias
-        ok = (-0.5 <= b) & (b <= 0.5)
-        for name in STAT_FIELDS[1:]:
-            p = getattr(self, name)
-            ok &= (-ATOL <= p) & (p <= 1.0 + ATOL)
-        ok &= np.abs(self.p00 + self.p01 + self.p10 + self.p11 - 1.0) <= ATOL
-        ok &= self.p0_plus <= 0.5 + b + ATOL
-        ok &= self.p1_plus <= 0.5 - b + ATOL
+        fields = [getattr(self, name) for name in STAT_FIELDS]
+        stack = np.empty((len(STAT_FIELDS), *np.broadcast(*fields).shape))
+        for i, field in enumerate(fields):
+            stack[i] = field
+        stack = stack.reshape(len(STAT_FIELDS), -1)
+        bias, p00, p01, p10, p11 = stack[:5]
+        # one row per check: the eight ranges, the sum, p0_plus and p1_plus
+        ok = np.empty((11, stack.shape[1]), dtype=bool)
+        np.less_equal(_LOW, stack, out=ok[:8])
+        ok[:8] &= stack <= _HIGH
+        np.less_equal(abs(p00 + p01 + p10 + p11 - 1.0), ATOL, out=ok[8])
+        np.less_equal(stack[6:], 0.5 + _PLUS_SIGN * bias + ATOL, out=ok[9:])
         if not ok.all():
-            self.row(int(np.argmin(ok)))  # the same checks on that point raise its message
+            _check_point(*stack[:, np.argmin(ok.all(axis=0))].tolist())
+        stack.flags.writeable = False
+        for name, row in zip(STAT_FIELDS, stack):
+            object.__setattr__(self, name, row)
 
-    def row(self, i: int) -> ObservedStatistics:
-        return ObservedStatistics(**{name: float(getattr(self, name)[i]) for name in STAT_FIELDS})
 
-
-def compute_statistics(attack: RestrictedAttack) -> ObservedStatistics:
-    """Exact observable statistics of an attack.
+def compute_statistics(attack: RestrictedAttack) -> Statistics:
+    """Exact observable statistics of an attack, as one point.
 
     Raw-key probabilities are P(a, b) = (weight of bob bit b) * |e_{b a}|^2;
     the X-round statistics follow from the real parts of the fragment
@@ -209,7 +203,7 @@ def compute_statistics(attack: RestrictedAttack) -> ObservedStatistics:
     n10 = float(np.vdot(attack.e10, attack.e10).real)
     n11 = float(np.vdot(attack.e11, attack.e11).real)
     gm = attack.g_minus()
-    return ObservedStatistics(
+    return Statistics(
         bias=attack.bias,
         p00=a2 * n00,
         p01=b2 * n10,

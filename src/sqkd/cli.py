@@ -80,7 +80,7 @@ class SweepSpec:
         for lo in range(0, n, SWEEP_CHUNK):
             yield self.start + np.arange(lo, min(lo + SWEEP_CHUNK, n)) * self.step
 
-    def statistics(self, x) -> attacks.StatisticsColumns:
+    def statistics(self, x) -> attacks.Statistics:
         if self.variable == "q":
             return keyrate.depolarizing_stats(self.fixed_value, x)
         return keyrate.depolarizing_stats(x, self.fixed_value)
@@ -96,7 +96,7 @@ class SweepSpec:
             raise
 
 
-def _statistics_from_args(args) -> attacks.ObservedStatistics:
+def _statistics_from_args(args) -> attacks.Statistics:
     sources = [args.stats is not None, args.attack is not None, args.b is not None or args.q is not None]
     if sum(sources) != 1:
         raise ValueError("provide exactly one of --b/--q, --stats or --attack")
@@ -113,7 +113,7 @@ def cmd_bound(args) -> int:
     stats = _statistics_from_args(args)
     report = keyrate.key_rate_bound(stats)
     print(keyrate.format_report(report))
-    return EXIT_ABORT if report.abort else EXIT_OK
+    return EXIT_ABORT if report.abort[0] else EXIT_OK
 
 
 def cmd_sweep(args) -> int:

@@ -8,6 +8,8 @@ non-finite, outside 1e-11 ... 1e34 or within 1e-3 of a tie) go through ``fmt``.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 
@@ -104,11 +106,18 @@ def csv_rows(*columns) -> bytes:
     return records.tobytes().translate(None, b"\0")
 
 
+# surrogateescape decodes each byte that is not UTF-8 to one of these
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
 def read_kv_lines(path) -> list[tuple[int, str, str]]:
-    """Read ``key=value`` lines; blank lines and '#' comments are skipped."""
+    """Read ``key=value`` UTF-8 lines; blank lines and '#' comments are skipped."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            bad = _NOT_UTF8.search(raw)
+            if bad:
+                raise ParseError(path, lineno, f"not UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

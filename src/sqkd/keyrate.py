@@ -13,11 +13,10 @@ matching key bits:
 
     B = 1 - p_e_minus - p0_plus - p1_plus - sqrt(p01 p10).
 
-One numpy kernel evaluates the bound over columns of statistics; a single
-ObservedStatistics goes through the same kernel.  For a depolarizing reverse
-channel with parameter q everything collapses to the closed form f(b, q)
-implemented in depolarizing_bound(), the scalar evaluator of the threshold
-searches.
+One numpy kernel evaluates the bound at every point of a Statistics, one
+point or many.  For a depolarizing reverse channel with parameter q everything
+collapses to the closed form f(b, q) implemented in depolarizing_bound(), the
+scalar evaluator of the threshold searches.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from . import fileio
-from .attacks import ObservedStatistics, StatisticsColumns, _check_bias, _check_noise
+from .attacks import Statistics, _check_bias, _check_noise
 from .fileio import ParseError
 
 
@@ -37,22 +36,22 @@ from .fileio import ParseError
 class KeyRateReport:
     """Key-rate bound plus the intermediate quantities that produce it.
 
-    ``abort`` is set when the raw overlap bound B is non-positive (channel
-    too noisy); the bound is then the diagnostic value computed with B = 0.
-    ``lam`` is None in the degenerate case k1 = 0, whose h(lambda) term has
-    zero weight.  For StatisticsColumns every field is an array with one
-    entry per point, and ``lam`` is NaN where k1 = 0.
+    Every field is an array with one entry per point of the Statistics, so
+    the bound of a one-point Statistics is ``report.bound[0]``.  ``abort`` is
+    set where the raw overlap bound B is non-positive (channel too noisy); the
+    bound there is the diagnostic value computed with B = 0.  ``lam`` is NaN
+    in the degenerate case k1 = 0, whose h(lambda) term has zero weight.
     """
 
-    bound: float
-    B_lower: float
-    B_clamped: bool
-    lam: float | None
-    k0: float
-    k1: float
-    k2: float
-    h_A: float
-    abort: bool
+    bound: np.ndarray
+    B_lower: np.ndarray
+    B_clamped: np.ndarray
+    lam: np.ndarray
+    k0: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    h_A: np.ndarray
+    abort: np.ndarray
 
 
 def _libm(fn, x, *args) -> np.ndarray:
@@ -104,30 +103,19 @@ def _lambda(p00, p11, B) -> np.ndarray:
     return np.minimum(np.maximum(lam, 0.5), 1.0)
 
 
-def key_rate_bound(stats: ObservedStatistics | StatisticsColumns) -> KeyRateReport:
-    """Evaluate the key-rate lower bound at every point of a StatisticsColumns.
-
-    One ObservedStatistics goes through the same kernel as a batch of one
-    and comes back with float fields.
-    """
+def key_rate_bound(stats: Statistics) -> KeyRateReport:
+    """Evaluate the key-rate lower bound at every point of a Statistics."""
     B, clamped = _overlap_bound(stats)
     # clamping only applies from above, so B <= 0 can only be the raw value
     abort = ~clamped & (B <= 0.0)
-    k1 = np.clip(stats.p00 + stats.p11, 0.0, 1.0)
-    k2 = np.clip(stats.p01 + stats.p10, 0.0, 1.0)
-    k0 = _entropy(k1)
-    h_a = _entropy(stats.p00 + stats.p01)
+    k1 = (stats.p00 + stats.p11).clip(0.0, 1.0)
+    k2 = (stats.p01 + stats.p10).clip(0.0, 1.0)
     lam = np.where(k1 == 0.0, np.nan, _lambda(stats.p00, stats.p11, np.maximum(B, 0.0)))
-    bound = h_a - k0 - k2 - k1 * _entropy(lam)
-    if isinstance(stats, StatisticsColumns):
-        return KeyRateReport(
-            bound=bound, B_lower=B, B_clamped=clamped, lam=lam,
-            k0=k0, k1=k1, k2=k2, h_A=h_a, abort=abort,
-        )
+    # one pair of libm passes serves all three entropies
+    k0, h_a, h_lam = _entropy(np.array([k1, stats.p00 + stats.p01, lam]))
     return KeyRateReport(
-        bound=float(bound), B_lower=float(B), B_clamped=bool(clamped),
-        lam=None if k1 == 0.0 else float(lam),
-        k0=float(k0), k1=float(k1), k2=float(k2), h_A=float(h_a), abort=bool(abort),
+        bound=h_a - k0 - k2 - k1 * h_lam, B_lower=B, B_clamped=clamped, lam=lam,
+        k0=k0, k1=k1, k2=k2, h_A=h_a, abort=abort,
     )
 
 
@@ -135,31 +123,24 @@ def key_rate_bound(stats: ObservedStatistics | StatisticsColumns) -> KeyRateRepo
 # depolarizing reverse channel: closed forms and threshold search
 
 
-def _check_depolarizing_args(b: float, q: float) -> tuple[float, float]:
-    return _check_bias(b), _check_noise(q)
-
-
-def depolarizing_stats(b, q) -> ObservedStatistics | StatisticsColumns:
+def depolarizing_stats(b, q) -> Statistics:
     """Exact statistics when the reverse channel depolarizes with parameter q.
 
-    Two scalars give one ObservedStatistics.  Arrays broadcast together and
-    give StatisticsColumns; every point gets the scalar checks, and the first
-    bad point is rejected with the message a scalar call gives for it.
+    b and q broadcast together, and two scalars give one point.  The first
+    bad point is rejected with the message of its bias, else of its q.
     """
-    scalar = np.ndim(b) == 0 and np.ndim(q) == 0
-    if scalar:
-        b, q = _check_depolarizing_args(b, q)
-    else:
-        b, q = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(q, dtype=float))
-        b, q = b.ravel(), q.ravel()
-        ok = (-0.5 <= b) & (b <= 0.5) & (0.0 <= q) & (q <= 1.0)
-        # valid arguments cannot break a statistics invariant, so the first
-        # bad argument is the first bad point
-        if not ok.all():
-            i = int(np.argmin(ok))
-            _check_depolarizing_args(b[i], q[i])
+    # scalars stay numpy scalars, so one point costs scalar arithmetic
+    b, q = np.asarray(b, dtype=float)[()], np.asarray(q, dtype=float)[()]
+    ok = (-0.5 <= b) & (b <= 0.5) & (0.0 <= q) & (q <= 1.0)
+    # valid arguments cannot break a statistics invariant, so the first bad
+    # argument is the first bad point
+    if not ok.all():
+        i = np.argmin(ok)
+        bad_b, bad_q = np.broadcast_arrays(b, q)
+        _check_bias(bad_b.flat[i])
+        _check_noise(bad_q.flat[i])
     root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * b * b))
-    return (ObservedStatistics if scalar else StatisticsColumns)(
+    return Statistics(
         bias=b,
         p00=(0.5 + b) * (1.0 - 0.5 * q),
         p01=(0.5 - b) * 0.5 * q,
@@ -190,7 +171,7 @@ def depolarizing_bound(b: float, q: float) -> float:
     threshold searches evaluate this scalar closed form, one point at a
     time: a kernel call on a batch of one costs far more.
     """
-    b, q = _check_depolarizing_args(b, q)
+    b, q = _check_bias(b), _check_noise(q)
     root = math.sqrt(max(0.0, 1.0 - 4.0 * b * b))
     big_b = max(0.0, (0.5 - 0.75 * q) * root)
     lam = min(1.0, 0.5 + math.sqrt(b * b * (2.0 - q) ** 2 + 4.0 * big_b * big_b) / (2.0 - q))
@@ -293,8 +274,8 @@ def threshold_b(q: float, tol: float = 1e-4) -> float | None:
 _STATS_KEYS = ("b", "p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus")
 
 
-def load_statistics(path) -> ObservedStatistics:
-    """Read a key-value statistics file and validate its invariants."""
+def load_statistics(path) -> Statistics:
+    """Read a key-value statistics file, one point, and validate its invariants."""
     entries = fileio.read_kv_lines(path)
     seen: dict[str, float] = {}
     for lineno, key, value in entries:
@@ -307,19 +288,20 @@ def load_statistics(path) -> ObservedStatistics:
     if missing:
         raise ParseError(path, 0, f"missing keys: {', '.join(missing)}")
     kwargs = {("bias" if key == "b" else key): seen[key] for key in _STATS_KEYS}
-    return ObservedStatistics(**kwargs)
+    return Statistics(**kwargs)
 
 
 def format_report(report: KeyRateReport) -> str:
-    """Fixed key-value rendering of a report, 12 significant digits."""
+    """Fixed key-value rendering of a report's point 0, 12 significant digits."""
+    lam = report.lam[0]
     lines = [
-        f"bound={fileio.fmt(report.bound)}",
-        f"B={fileio.fmt(report.B_lower)}",
-        f"lambda={'none' if report.lam is None else fileio.fmt(report.lam)}",
-        f"k0={fileio.fmt(report.k0)}",
-        f"k1={fileio.fmt(report.k1)}",
-        f"k2={fileio.fmt(report.k2)}",
-        f"abort={'true' if report.abort else 'false'}",
-        f"clamped={'true' if report.B_clamped else 'false'}",
+        f"bound={fileio.fmt(report.bound[0])}",
+        f"B={fileio.fmt(report.B_lower[0])}",
+        f"lambda={'none' if math.isnan(lam) else fileio.fmt(lam)}",
+        f"k0={fileio.fmt(report.k0[0])}",
+        f"k1={fileio.fmt(report.k1[0])}",
+        f"k2={fileio.fmt(report.k2[0])}",
+        f"abort={'true' if report.abort[0] else 'false'}",
+        f"clamped={'true' if report.B_clamped[0] else 'false'}",
     ]
     return "\n".join(lines)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .attacks import STAT_FIELDS, ObservedStatistics, RestrictedAttack
+from .attacks import STAT_FIELDS, RestrictedAttack, Statistics
 
 SIFT = "SIFT"
 CTRL = "CTRL"
@@ -122,7 +122,7 @@ class Estimate:
 
 @dataclass(frozen=True)
 class EstimatedStatistics:
-    """Empirical counterparts of ObservedStatistics; None marks a field whose
+    """Empirical counterparts of Statistics; None marks a field whose
     conditioning class was empty."""
 
     bias: Estimate | None
@@ -137,8 +137,8 @@ class EstimatedStatistics:
     def complete(self) -> bool:
         return all(getattr(self, name) is not None for name in STAT_FIELDS)
 
-    def to_observed(self) -> ObservedStatistics:
-        """Build ObservedStatistics from the point estimates.
+    def to_observed(self) -> Statistics:
+        """Build a one-point Statistics from the point estimates.
 
         Raises ValueError when a field is unavailable or when sampling noise
         pushes the estimates outside the statistics invariants.
@@ -146,7 +146,7 @@ class EstimatedStatistics:
         if not self.complete():
             missing = [name for name in STAT_FIELDS if getattr(self, name) is None]
             raise ValueError(f"estimates unavailable for: {', '.join(missing)}")
-        return ObservedStatistics(**{name: getattr(self, name).value for name in STAT_FIELDS})
+        return Statistics(**{name: getattr(self, name).value for name in STAT_FIELDS})
 
 
 def _freq(count: int, m: int) -> Estimate | None:

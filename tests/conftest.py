@@ -29,4 +29,5 @@ def save_attack(attack, path):
 
 
 def save_statistics(stats, path):
-    oracle.write_statistics(path, {"b" if name == "bias" else name: getattr(stats, name) for name in STAT_FIELDS})
+    """Statistics file of a one-point Statistics."""
+    oracle.write_statistics(path, {"b" if name == "bias" else name: getattr(stats, name).item() for name in STAT_FIELDS})

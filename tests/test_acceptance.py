@@ -129,11 +129,11 @@ def test_criterion_04_always_negative_above_point_two():
 
 def test_criterion_05_closed_form_equals_general_form():
     t0 = time.perf_counter()
+    b, q = np.meshgrid(np.linspace(-0.5, 0.5, 50), np.linspace(0.0, 1.0, 50), indexing="ij")
+    general = key_rate_bound(depolarizing_stats(b, q)).bound  # one kernel call over the grid
     worst = 0.0
-    for b in np.linspace(-0.5, 0.5, 50):
-        for q in np.linspace(0.0, 1.0, 50):
-            diff = abs(key_rate_bound(depolarizing_stats(b, q)).bound - depolarizing_bound(b, q))
-            worst = max(worst, diff)
+    for f, bi, qi in zip(general.tolist(), b.ravel().tolist(), q.ravel().tolist()):
+        worst = max(worst, abs(f - depolarizing_bound(bi, qi)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 5.0
     report(5, "general bound equals f(b,q) within 1e-12 on a 50x50 grid", ok,
@@ -148,7 +148,7 @@ def test_criterion_06_kraus_dilation_reproduces_closed_form_statistics():
             got = compute_statistics(depolarizing_attack(b, q))
             want = depolarizing_stats(b, q)
             for name in STAT_FIELDS:
-                worst = max(worst, abs(getattr(got, name) - getattr(want, name)))
+                worst = max(worst, abs(getattr(got, name)[0] - getattr(want, name)[0]))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 5.0
     report(6, "depolarizing dilation statistics match within 1e-12 on a 20x20 grid", ok,
@@ -163,11 +163,12 @@ def test_criterion_07_eigenvalue_oracle_and_bound_validity():
     for _ in range(1000):
         atk = random_attack(rng)
         stats = compute_statistics(atk)
+        p00, p11 = stats.p00[0], stats.p11[0]
         overlap = atk.alpha * atk.beta * complex(np.vdot(atk.e00, atk.e11))
-        k1 = stats.p00 + stats.p11
-        m = np.array([[stats.p00, overlap], [overlap.conjugate(), stats.p11]]) / k1
+        k1 = p00 + p11
+        m = np.array([[p00, overlap], [overlap.conjugate(), p11]]) / k1
         # the bound's lambda formula at the true overlap is the larger eigenvalue
-        closed = float(_lambda(stats.p00, stats.p11, abs(overlap)))
+        closed = float(_lambda(p00, p11, abs(overlap)))
         generic = np.linalg.eigvalsh(m)[-1]
         worst_eig = max(worst_eig, abs(closed - generic))
         # exact entropy of Eve's matched-bit state vs the h(lambda) bound
@@ -176,7 +177,7 @@ def test_criterion_07_eigenvalue_oracle_and_bound_validity():
         w = np.clip(np.linalg.eigvalsh(rho0), 0.0, 1.0)
         w = w[w > 0.0]
         s_exact = max(0.0, float(-(w * np.log2(w)).sum()))
-        lam = key_rate_bound(stats).lam
+        lam = key_rate_bound(stats).lam[0]
         h_lam = float(oracle.h2(lam))
         worst_gap = max(worst_gap, s_exact - h_lam)
     elapsed = time.perf_counter() - t0
@@ -199,10 +200,10 @@ def test_criterion_08_monte_carlo_consistency(q, b, seed):
     bad = []
     for name in ("bias",) + STAT_FIELDS:
         est = getattr(tr.estimated, name)
-        true = b if name == "bias" else getattr(analytic, name)
+        true = b if name == "bias" else getattr(analytic, name)[0]
         if abs(est.value - true) > 4 * est.se:
             bad.append(f"{name}: est={est.value:.5f} true={true:.5f} se={est.se:.2e}")
-    est_bound = key_rate_bound(tr.estimated.to_observed()).bound
+    est_bound = key_rate_bound(tr.estimated.to_observed()).bound[0]
     f_true = depolarizing_bound(b, q)
     elapsed = time.perf_counter() - t0
     ok = not bad and abs(est_bound - f_true) <= 0.05 and elapsed < 60.0
@@ -230,8 +231,8 @@ def test_criterion_09_unitarity_and_marginal_identities():
         stats = compute_statistics(atk)
         worst_marginal = max(
             worst_marginal,
-            abs(stats.p00 + stats.p10 - (0.5 + atk.bias)),
-            abs(stats.p01 + stats.p11 - (0.5 - atk.bias)),
+            abs(stats.p00[0] + stats.p10[0] - (0.5 + atk.bias)),
+            abs(stats.p01[0] + stats.p11[0] - (0.5 - atk.bias)),
         )
     elapsed = time.perf_counter() - t0
     ok = worst_unitarity <= 1e-12 and worst_marginal <= 1e-10 and elapsed < 10.0

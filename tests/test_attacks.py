@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 import oracle
 from conftest import random_attack, save_attack
 from sqkd.attacks import (
-    ObservedStatistics,
     RestrictedAttack,
+    Statistics,
     attack_deviations,
     compute_statistics,
     depolarizing_attack,
@@ -134,7 +134,7 @@ def test_attack_from_kraus_identity_channel():
         stats = compute_statistics(depolarizing_attack(b, 0.0))
         ident = compute_statistics(RestrictedAttack(b, **IDENTITY))
         for name in STAT_FIELDS:
-            assert getattr(stats, name) == pytest.approx(getattr(ident, name), abs=1e-15)
+            assert getattr(stats, name)[0] == pytest.approx(getattr(ident, name)[0], abs=1e-15)
 
 
 def test_attack_from_kraus_depolarizing_matches_closed_forms():
@@ -143,7 +143,7 @@ def test_attack_from_kraus_depolarizing_matches_closed_forms():
             got = compute_statistics(depolarizing_attack(b, q))
             want = depolarizing_stats(b, q)
             for name in STAT_FIELDS:
-                assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
+                assert getattr(got, name)[0] == pytest.approx(getattr(want, name)[0], abs=1e-12)
     # the matched-bit overlap of the dilation is 1 - q
     atk = depolarizing_attack(0.0, 0.3)
     assert np.vdot(atk.e00, atk.e11).real == pytest.approx(0.7, abs=1e-13)
@@ -154,19 +154,19 @@ def test_attack_from_kraus_depolarizing_matches_closed_forms():
 
 def test_identity_attack_statistics():
     stats = compute_statistics(depolarizing_attack(0.0, 0.0))
-    assert stats.p00 == pytest.approx(0.5, abs=1e-15)
-    assert stats.p11 == pytest.approx(0.5, abs=1e-15)
-    assert stats.p01 == stats.p10 == 0.0
-    assert stats.p_e_minus == pytest.approx(0.0, abs=1e-15)
-    assert stats.p0_plus == pytest.approx(0.25, abs=1e-15)
-    assert stats.p1_plus == pytest.approx(0.25, abs=1e-15)
+    assert stats.p00[0] == pytest.approx(0.5, abs=1e-15)
+    assert stats.p11[0] == pytest.approx(0.5, abs=1e-15)
+    assert stats.p01[0] == stats.p10[0] == 0.0
+    assert stats.p_e_minus[0] == pytest.approx(0.0, abs=1e-15)
+    assert stats.p0_plus[0] == pytest.approx(0.25, abs=1e-15)
+    assert stats.p1_plus[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_bit_flip_attack_statistics():
     stats = compute_statistics(RestrictedAttack(0.0, **BIT_FLIP))
-    assert stats.p00 == stats.p11 == 0.0
-    assert stats.p01 == pytest.approx(0.5, abs=1e-15)
-    assert stats.p10 == pytest.approx(0.5, abs=1e-15)
+    assert stats.p00[0] == stats.p11[0] == 0.0
+    assert stats.p01[0] == pytest.approx(0.5, abs=1e-15)
+    assert stats.p10[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_marginals_match_bias():
@@ -174,8 +174,8 @@ def test_marginals_match_bias():
     for _ in range(300):
         atk = random_attack(rng)
         stats = compute_statistics(atk)
-        assert stats.p00 + stats.p10 == pytest.approx(0.5 + atk.bias, abs=1e-10)
-        assert stats.p01 + stats.p11 == pytest.approx(0.5 - atk.bias, abs=1e-10)
+        assert stats.p00[0] + stats.p10[0] == pytest.approx(0.5 + atk.bias, abs=1e-10)
+        assert stats.p01[0] + stats.p11[0] == pytest.approx(0.5 - atk.bias, abs=1e-10)
 
 
 def test_cauchy_schwarz_on_cross_overlap():
@@ -184,7 +184,7 @@ def test_cauchy_schwarz_on_cross_overlap():
         atk = random_attack(rng)
         stats = compute_statistics(atk)
         lhs = atk.alpha * atk.beta * abs(np.vdot(atk.e01, atk.e10).real)
-        assert lhs <= math.sqrt(stats.p01 * stats.p10) + 1e-10
+        assert lhs <= math.sqrt(stats.p01[0] * stats.p10[0]) + 1e-10
 
 
 def test_overlap_bound_is_a_lower_bound():
@@ -194,23 +194,23 @@ def test_overlap_bound_is_a_lower_bound():
         atk = random_attack(rng)
         stats = compute_statistics(atk)
         true_overlap = atk.alpha * atk.beta * abs(np.vdot(atk.e00, atk.e11))
-        assert key_rate_bound(stats).B_lower <= true_overlap + 1e-10
+        assert key_rate_bound(stats).B_lower[0] <= true_overlap + 1e-10
 
 
 def test_statistics_validation():
     kw = dict(bias=0.0, p00=0.5, p01=0.0, p10=0.0, p11=0.5,
               p_e_minus=0.0, p0_plus=0.25, p1_plus=0.25)
-    ObservedStatistics(**kw)
+    Statistics(**kw)
     with pytest.raises(ValueError, match="p00\\+p01\\+p10\\+p11"):
-        ObservedStatistics(**{**kw, "p11": 0.4})
+        Statistics(**{**kw, "p11": 0.4})
     with pytest.raises(ValueError, match="p0_plus"):
-        ObservedStatistics(**{**kw, "p0_plus": 0.51})
+        Statistics(**{**kw, "p0_plus": 0.51})
     with pytest.raises(ValueError, match="p1_plus"):
-        ObservedStatistics(**{**kw, "p1_plus": 0.51})
+        Statistics(**{**kw, "p1_plus": 0.51})
     with pytest.raises(ValueError):
-        ObservedStatistics(**{**kw, "p00": -0.1, "p11": 1.1})
+        Statistics(**{**kw, "p00": -0.1, "p11": 1.1})
     with pytest.raises(ValueError):
-        ObservedStatistics(**{**kw, "bias": 0.6})
+        Statistics(**{**kw, "bias": 0.6})
 
 
 # ------------------------------------------------------------- attack files

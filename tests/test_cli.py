@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_attack, save_attack, save_statistics
 from sqkd import cli
-from sqkd.attacks import STAT_FIELDS, StatisticsColumns, depolarizing_attack
+from sqkd.attacks import STAT_FIELDS, Statistics, depolarizing_attack
 from sqkd.keyrate import depolarizing_stats, format_report, key_rate_bound, load_statistics
 
 
@@ -83,6 +83,54 @@ def test_bound_input_errors(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "bound", "--b", "0", "--q", "1.5")
     assert code == 1
+
+
+# one-point paths of bound and simulate; {stats}, {k1_zero} and {attack} name
+# the files below
+BOUND_CALLS = (
+    ("bound", "--b", "0.1", "--q", "0.05"),
+    ("bound", "--b", "-0.35", "--q", "0.17"),
+    ("bound", "--b", "0.1", "--q", "0"),  # clamped
+    ("bound", "--b", "-0.2", "--q", "0.7"),  # aborts
+    ("bound", "--stats", "{k1_zero}"),  # lambda=none
+    ("bound", "--stats", "{stats}"),
+    ("bound", "--attack", "{attack}"),
+    ("simulate", "--n", "2000", "--seed", "3", "--q", "0.05", "--b", "0.1"),
+    ("simulate", "--n", "2000", "--seed", "4", "--attack", "{attack}", "--pt", "0.49"),
+    # estimates outside the invariants: bound=none and the message
+    ("simulate", "--n", "5", "--seed", "25", "--q", "0.05", "--b", "0.1", "--pt", "0.49"),
+    ("simulate", "--n", "2", "--seed", "0", "--q", "0.05", "--b", "0.1", "--pt", "0.49"),
+)
+BOUND_FILES = {
+    "stats": "b=0.1\np00=0.585\np01=0.01\np10=0.015\np11=0.39\np_e_minus=0.0346\np0_plus=0.3\np1_plus=0.2\n",
+    "k1_zero": "b=0\np00=0\np01=0.5\np10=0.5\np11=0\np_e_minus=0\np0_plus=0.25\np1_plus=0.25\n",
+    "attack": "b=-0.15\nd=1\ne00=0.96,0\ne01=0.28,0\ne10=-0.28,0\ne11=0.96,0\n",
+}
+# sha256 of the exit code and stdout of every call above, as they were
+# printed while one point of statistics was a class of its own
+BOUND_SHA256 = "4b92860dd8f42bfa061bd93fea27edfdfb8ab12f1cdf04404ecf5611b79e04f8"
+
+
+def test_bound_and_simulate_stdout_is_byte_identical(capsys, tmp_path):
+    paths = {}
+    for name, text in BOUND_FILES.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    digest = hashlib.sha256()
+    for argv in BOUND_CALLS:
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert err == ""
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == BOUND_SHA256
+
+
+@pytest.mark.parametrize("command", ["bound --stats", "validate --attack"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"# made by hand\nb=0\xff\n")
+    code, out, err = run_cli(capsys, *command.split(), str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"sqkd: error: {path}:2: not UTF-8: byte 0xff"]
 
 
 # ------------------------------------------------------------------- sweep
@@ -302,7 +350,7 @@ def test_bound_from_stats_with_no_matching_key_bits(capsys, tmp_path):
     values = kv(out)
     assert values["lambda"] == "none" and values["k1"] == "0"
     stats = load_statistics(path)
-    batch = key_rate_bound(StatisticsColumns(**{name: [getattr(stats, name)] * 3 for name in STAT_FIELDS}))
+    batch = key_rate_bound(Statistics(**{name: [getattr(stats, name)[0]] * 3 for name in STAT_FIELDS}))
     assert np.isnan(batch.lam).all()
     assert [f"{f:.12g}" for f in batch.bound] == [values["bound"]] * 3
 

@@ -1,5 +1,6 @@
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import random_attack, save_statistics
+from sqkd import cli
 from sqkd.attacks import (
     STAT_FIELDS as COLUMN_FIELDS,
-    ObservedStatistics,
     RestrictedAttack,
-    StatisticsColumns,
+    Statistics,
     compute_statistics,
 )
 from sqkd.fileio import ParseError
@@ -31,7 +32,7 @@ from sqkd.keyrate import (
 
 STAT_FIELDS = ("p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus")
 
-IDENTITY_STATS = ObservedStatistics(
+IDENTITY_STATS = Statistics(
     bias=0.0, p00=0.5, p01=0.0, p10=0.0, p11=0.5,
     p_e_minus=0.0, p0_plus=0.25, p1_plus=0.25,
 )
@@ -45,9 +46,9 @@ def binary_entropy(x):
 
 
 def overlap_bound(stats):
-    """The report's (B, clamped) of one point."""
+    """The report's (B, clamped) of a one-point Statistics."""
     report = key_rate_bound(stats)
-    return report.B_lower, report.B_clamped
+    return report.B_lower[0], report.B_clamped[0]
 
 
 # ----------------------------------------------------------- overlap bound
@@ -78,7 +79,7 @@ def test_bound_B_negative_for_very_noisy_channel():
 
 
 def test_bound_B_is_capped_at_cauchy_schwarz_ceiling():
-    stats = ObservedStatistics(
+    stats = Statistics(
         bias=0.0, p00=0.5, p01=0.25, p10=0.25, p11=0.0,
         p_e_minus=0.0, p0_plus=0.0, p1_plus=0.0,
     )
@@ -86,7 +87,7 @@ def test_bound_B_is_capped_at_cauchy_schwarz_ceiling():
     assert clamped
     assert value == 0.0  # ceiling sqrt(p00 p11) = 0
     report = key_rate_bound(stats)
-    assert report.B_clamped and not report.abort
+    assert report.B_clamped[0] and not report.abort[0]
 
 
 # ----------------------------------------------------------------- lambda
@@ -100,8 +101,8 @@ def test_lambda_from_known_values():
             big_b = max(0.0, (0.5 - 0.75 * q) * math.sqrt(1 - 4 * b * b))
             want = 0.5 + math.sqrt(b * b * (2 - q) ** 2 + 4 * big_b ** 2) / (2 - q)
             stats = depolarizing_stats(b, q)
-            assert _lambda(stats.p00, stats.p11, big_b) == pytest.approx(min(want, 1.0), abs=1e-12)
-            assert key_rate_bound(stats).lam == pytest.approx(min(want, 1.0), abs=1e-12)
+            assert _lambda(stats.p00, stats.p11, big_b)[0] == pytest.approx(min(want, 1.0), abs=1e-12)
+            assert key_rate_bound(stats).lam[0] == pytest.approx(min(want, 1.0), abs=1e-12)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -117,37 +118,37 @@ def test_lambda_from_stays_in_range(p00, p11, b_val):
 
 def test_noiseless_bound_is_exactly_one():
     report = key_rate_bound(IDENTITY_STATS)
-    assert report.bound == pytest.approx(1.0, abs=1e-12)
-    assert report.lam == pytest.approx(1.0, abs=1e-15)
-    assert report.k0 == 0.0 and report.k2 == 0.0
-    assert report.h_A == 1.0
-    assert not report.abort and not report.B_clamped
+    assert report.bound[0] == pytest.approx(1.0, abs=1e-12)
+    assert report.lam[0] == pytest.approx(1.0, abs=1e-15)
+    assert report.k0[0] == 0.0 and report.k2[0] == 0.0
+    assert report.h_A[0] == 1.0
+    assert not report.abort[0] and not report.B_clamped[0]
 
 
 def test_bound_near_zero_at_the_noise_threshold():
     # frozen oracle values for the depolarizing closed form at b = 0
-    assert key_rate_bound(depolarizing_stats(0.0, 0.193)).bound == pytest.approx(
+    assert key_rate_bound(depolarizing_stats(0.0, 0.193)).bound[0] == pytest.approx(
         0.002794788196, abs=1e-9)
-    assert key_rate_bound(depolarizing_stats(0.0, 0.3)).bound == pytest.approx(
+    assert key_rate_bound(depolarizing_stats(0.0, 0.3)).bound[0] == pytest.approx(
         -0.331290899231, abs=1e-9)
 
 
 def test_bound_reports_abort_beyond_two_thirds_noise():
     report = key_rate_bound(depolarizing_stats(0.0, 0.7))
-    assert report.abort
-    assert report.B_lower == pytest.approx(-0.025, abs=1e-12)
-    assert report.bound < 0
+    assert report.abort[0]
+    assert report.B_lower[0] == pytest.approx(-0.025, abs=1e-12)
+    assert report.bound[0] < 0
 
 
 def test_degenerate_k1_zero_skips_lambda():
-    stats = ObservedStatistics(
+    stats = Statistics(
         bias=0.0, p00=0.0, p01=0.5, p10=0.5, p11=0.0,
         p_e_minus=0.0, p0_plus=0.25, p1_plus=0.25,
     )
     report = key_rate_bound(stats)
-    assert report.lam is None
-    assert report.k1 == 0.0
-    assert report.bound == pytest.approx(0.0, abs=1e-12)
+    assert math.isnan(report.lam[0])
+    assert report.k1[0] == 0.0
+    assert report.bound[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bound_never_exceeds_the_exact_rate():
@@ -164,7 +165,7 @@ def test_bound_never_exceeds_the_exact_rate():
         else:
             u = oracle.near_identity_unitary(2 * d, float(10.0 ** rng.uniform(-3.0, math.log10(0.3))), rng)
         frags = oracle.fragments(u)
-        bound = key_rate_bound(compute_statistics(RestrictedAttack(b, **frags))).bound
+        bound = key_rate_bound(compute_statistics(RestrictedAttack(b, **frags))).bound[0]
         gap = oracle.exact_rate(b, frags) - bound
         assert gap >= -1e-10, (k, b, gap)
         if k >= 400:
@@ -175,13 +176,11 @@ def test_bound_never_exceeds_the_exact_rate():
 
 def test_report_internal_identities():
     rng = np.random.default_rng(37)
-    for _ in range(300):
-        stats = compute_statistics(random_attack(rng))
-        report = key_rate_bound(stats)
-        assert report.k1 + report.k2 == pytest.approx(1.0, abs=1e-9)
-        assert report.bound <= 1.0 + 1e-12
-        if report.lam is not None:
-            assert 0.5 <= report.lam <= 1.0
+    report = key_rate_bound(_columns([compute_statistics(random_attack(rng)) for _ in range(300)]))
+    assert report.k1 + report.k2 == pytest.approx(1.0, abs=1e-9)
+    assert (report.bound <= 1.0 + 1e-12).all()
+    lam = report.lam[~np.isnan(report.lam)]
+    assert ((0.5 <= lam) & (lam <= 1.0)).all()
 
 
 # ---------------------------------------------------------- batched kernel
@@ -190,17 +189,17 @@ REPORT_FIELDS = ("bound", "B_lower", "B_clamped", "lam", "k0", "k1", "k2", "h_A"
 
 # the clamp, k1 = 0 (lambda undefined) and a sign-bit corner, next to ordinary points
 CORNER_STATS = [
-    ObservedStatistics(bias=0.0, p00=0.5, p01=0.25, p10=0.25, p11=0.0,
-                       p_e_minus=0.0, p0_plus=0.0, p1_plus=0.0),
-    ObservedStatistics(bias=0.0, p00=0.0, p01=0.5, p10=0.5, p11=0.0,
-                       p_e_minus=0.0, p0_plus=0.25, p1_plus=0.25),
-    ObservedStatistics(bias=0.0, p00=-0.0, p01=0.5, p10=0.5, p11=-0.0,
-                       p_e_minus=0.3, p0_plus=0.25, p1_plus=0.25),
+    Statistics(bias=0.0, p00=0.5, p01=0.25, p10=0.25, p11=0.0,
+               p_e_minus=0.0, p0_plus=0.0, p1_plus=0.0),
+    Statistics(bias=0.0, p00=0.0, p01=0.5, p10=0.5, p11=0.0,
+               p_e_minus=0.0, p0_plus=0.25, p1_plus=0.25),
+    Statistics(bias=0.0, p00=-0.0, p01=0.5, p10=0.5, p11=-0.0,
+               p_e_minus=0.3, p0_plus=0.25, p1_plus=0.25),
     # clamped; (p00 - p11)**2 rounds differently through libm pow and x*x,
     # which moves lambda between 1 and 1 - 1 ulp
-    ObservedStatistics(bias=0.0, p00=0.5895080488549757, p01=0.09590841958795485,
-                       p10=0.2551881455122541, p11=0.059395386044815396,
-                       p_e_minus=0.0, p0_plus=0.0, p1_plus=0.0),
+    Statistics(bias=0.0, p00=0.5895080488549757, p01=0.09590841958795485,
+               p10=0.2551881455122541, p11=0.059395386044815396,
+               p_e_minus=0.0, p0_plus=0.0, p1_plus=0.0),
     IDENTITY_STATS,
 ]
 
@@ -214,7 +213,13 @@ def _sample_stats():
 
 
 def _columns(stats):
-    return StatisticsColumns(**{name: [getattr(s, name) for s in stats] for name in COLUMN_FIELDS})
+    """One Statistics holding the points of all the given ones, in order."""
+    return Statistics(**{name: np.concatenate([getattr(s, name) for s in stats]) for name in COLUMN_FIELDS})
+
+
+def _point(stats):
+    """The fields of a one-point Statistics as Python floats, for _reference_report."""
+    return SimpleNamespace(**{name: getattr(stats, name).item() for name in COLUMN_FIELDS})
 
 
 def _reference_report(stats):
@@ -247,9 +252,13 @@ def _same_bits(a, b):
 def test_kernel_gives_the_scalar_formula_bit_for_bit():
     for stats in _sample_stats():
         got = key_rate_bound(stats)
-        want = _reference_report(stats)
+        want = _reference_report(_point(stats))
         for name in REPORT_FIELDS:
-            assert _same_bits(getattr(got, name), want[name]), (name, stats)
+            value = getattr(got, name)[0].item()
+            if name == "lam" and want["lam"] is None:
+                assert math.isnan(value), stats
+            else:
+                assert _same_bits(value, want[name]), (name, stats)
 
 
 def test_batch_matches_one_at_a_time_bit_for_bit():
@@ -260,51 +269,108 @@ def test_batch_matches_one_at_a_time_bit_for_bit():
         single = key_rate_bound(one)
         for name in REPORT_FIELDS:
             value = getattr(batch, name)[i].item()
-            if name == "lam" and single.lam is None:
+            if name == "lam" and math.isnan(single.lam[0]):
                 assert math.isnan(value)
             else:
-                assert _same_bits(value, getattr(single, name)), (name, i)
+                assert _same_bits(value, getattr(single, name)[0].item()), (name, i)
 
 
 def test_depolarizing_stats_columns_equal_scalar_calls():
     b = np.linspace(-0.5, 0.5, 21)
     for q in (0.0, 0.3, 1.0):
         columns = depolarizing_stats(b, q)
-        assert isinstance(columns, StatisticsColumns) and columns.p00.shape == b.shape
+        assert isinstance(columns, Statistics) and columns.p00.shape == b.shape
         for i, bi in enumerate(b.tolist()):
-            assert columns.row(i) == depolarizing_stats(bi, q)
+            one = depolarizing_stats(bi, q)
+            for name in COLUMN_FIELDS:
+                assert _same_bits(getattr(columns, name)[i].item(), getattr(one, name).item()), (name, i)
 
 
-@pytest.mark.parametrize("b, q", [
-    ([0.1, 0.2, 0.6, 0.7], 0.1),
-    (0.1, [0.0, 0.5, float("nan"), 2.0]),
-    ([0.0, 0.0, float("inf")], [0.1, -0.1, 0.1]),
-    ([0.0, 0.7], [1.5, 0.1]),
+def _run_cli(capsys, *argv):
+    """Exit code, stdout and stderr of one sqkd command."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# the message of each depolarizing argument check, worded as it was while the
+# statistics of one point were a class of their own
+@pytest.mark.parametrize("b, q, message", [
+    pytest.param([0.1, 0.2, 0.6, 0.7], 0.1, "bias must lie in [-1/2, 1/2], got 0.6", id="b0-0.1"),
+    pytest.param(0.1, [0.0, 0.5, float("nan"), 2.0], "depolarizing parameter must lie in [0, 1], got nan",
+                 id="0.1-q1"),
+    pytest.param([0.0, 0.0, float("inf")], [0.1, -0.1, 0.1], "depolarizing parameter must lie in [0, 1], got -0.1",
+                 id="b2-q2"),
+    pytest.param([0.0, 0.7], [1.5, 0.1], "depolarizing parameter must lie in [0, 1], got 1.5", id="b3-q3"),
 ])
-def test_depolarizing_stats_columns_reject_the_first_bad_point(b, q):
+def test_depolarizing_stats_columns_reject_the_first_bad_point(capsys, b, q, message):
     bb, qq = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(q, dtype=float))
     first = next(i for i in range(bb.size) if not (-0.5 <= bb[i] <= 0.5 and 0.0 <= qq[i] <= 1.0))
-    with pytest.raises(ValueError) as scalar:
-        depolarizing_stats(float(bb[first]), float(qq[first]))
-    with pytest.raises(ValueError) as batch:
-        depolarizing_stats(b, q)
-    assert str(batch.value) == str(scalar.value)
+    bad_b, bad_q = bb[first].item(), qq[first].item()
+    # the batch, its first bad point alone, and that point ahead of a later bad one
+    for args in ((b, q), (bad_b, bad_q), ([0.0, 0.1, bad_b, 0.7], [0.1, 0.1, bad_q, 1.5])):
+        with pytest.raises(ValueError) as exc:
+            depolarizing_stats(*args)
+        assert str(exc.value) == message
+    code, out, err = _run_cli(capsys, "bound", "--b", repr(bad_b), "--q", repr(bad_q))
+    assert code == 1 and out == "" and err == f"sqkd: error: {message}\n"
 
 
-@pytest.mark.parametrize("field, value", [
-    ("bias", 0.6), ("p00", -0.1), ("p11", 1.2), ("p_e_minus", float("nan")),
-    ("p01", 0.2), ("p0_plus", 0.76), ("p1_plus", 0.51),
+# the message of each statistics check, worded as it was while the statistics
+# of one point were a class of their own
+STATISTICS_CHECKS = [
+    ("bias", 0.6, "bias must lie in [-1/2, 1/2], got 0.6"),
+    ("bias", float("nan"), "bias must lie in [-1/2, 1/2], got nan"),
+    ("p00", -0.1, "p00 must lie in [0, 1], got -0.1"),
+    ("p10", float("inf"), "p10 must lie in [0, 1], got inf"),
+    ("p11", 1.2, "p11 must lie in [0, 1], got 1.2"),
+    ("p_e_minus", float("nan"), "p_e_minus must lie in [0, 1], got nan"),
+    ("p01", 0.2, "p00+p01+p10+p11 must equal 1, got 1.2"),
+    ("p0_plus", 0.76, "p0_plus=0.76 exceeds 1/2+b=0.5"),
+    ("p1_plus", 0.51, "p1_plus=0.51 exceeds 1/2-b=0.5"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param(field, value, message, id=f"{field}-{value}") for field, value, message in STATISTICS_CHECKS
 ])
-def test_statistics_columns_reject_the_first_bad_point(field, value):
-    good = {name: getattr(IDENTITY_STATS, name) for name in COLUMN_FIELDS}
+def test_statistics_columns_reject_the_first_bad_point(capsys, tmp_path, field, value, message):
+    good = {name: getattr(IDENTITY_STATS, name).item() for name in COLUMN_FIELDS}
     bad = {**good, field: value}
     also_bad = {**good, "p_e_minus": 2.0}
-    points = [good, good, bad, also_bad]
-    with pytest.raises(ValueError) as scalar:
-        ObservedStatistics(**bad)
+    with pytest.raises(ValueError) as one:
+        Statistics(**bad)
     with pytest.raises(ValueError) as batch:
-        StatisticsColumns(**{name: [p[name] for p in points] for name in COLUMN_FIELDS})
-    assert str(batch.value) == str(scalar.value)
+        Statistics(**{name: [p[name] for p in (good, good, bad, also_bad)] for name in COLUMN_FIELDS})
+    assert str(one.value) == str(batch.value) == message
+    if math.isfinite(value):  # a statistics file holds finite numbers only
+        path = tmp_path / "stats.txt"
+        oracle.write_statistics(path, {"b" if name == "bias" else name: bad[name] for name in COLUMN_FIELDS})
+        assert _run_cli(capsys, "bound", "--stats", str(path)) == (1, "", f"sqkd: error: {message}\n")
+
+
+# at b = 0.2, 1/2 + b + ATOL and 1/2 + ATOL + b are different doubles, and so
+# are 1/2 - b + ATOL and 1/2 + ATOL - b: each check keeps its order of operations
+@pytest.mark.parametrize("field, edge, beyond, message", [
+    ("p0_plus", 0.7000000009999999, 0.700000001, "p0_plus=0.700000001 exceeds 1/2+b=0.7"),
+    ("p1_plus", 0.300000001, 0.30000000100000007, "p1_plus=0.30000000100000007 exceeds 1/2-b=0.3"),
+    ("p_e_minus", 1.000000001, 1.0000000010000003, "p_e_minus must lie in [0, 1], got 1.0000000010000003"),
+    ("p_e_minus", -1e-09, -1.0000000000000003e-09, "p_e_minus must lie in [0, 1], got -1.0000000000000003e-09"),
+], ids=["p0_plus", "p1_plus", "p_e_minus-top", "p_e_minus-bottom"])
+def test_statistics_checks_end_at_the_same_double(field, edge, beyond, message):
+    assert np.nextafter(edge, beyond) == beyond
+    good = dict(bias=0.2, p00=0.7, p01=0.0, p10=0.0, p11=0.3, p_e_minus=0.0, p0_plus=0.35, p1_plus=0.15)
+
+    def points(*values):
+        """Statistics at `good` with `field` set to each value in turn."""
+        return Statistics(**{name: [v if name == field else good[name] for v in values] for name in COLUMN_FIELDS})
+
+    points(edge)
+    points(good[field], edge, edge)
+    for values in ((beyond,), (good[field], beyond, 2.0)):
+        with pytest.raises(ValueError) as exc:
+            points(*values)
+        assert str(exc.value) == message
 
 
 # ------------------------------------------------------------ closed forms
@@ -312,13 +378,13 @@ def test_statistics_columns_reject_the_first_bad_point(field, value):
 
 def test_depolarizing_stats_known_values():
     stats = depolarizing_stats(0.0, 0.2)
-    assert stats.p00 == pytest.approx(0.45, abs=1e-12)
-    assert stats.p01 == pytest.approx(0.05, abs=1e-12)
-    assert stats.p10 == pytest.approx(0.05, abs=1e-12)
-    assert stats.p11 == pytest.approx(0.45, abs=1e-12)
-    assert stats.p_e_minus == pytest.approx(0.1, abs=1e-12)
-    assert stats.p0_plus == pytest.approx(0.25, abs=1e-12)
-    assert stats.p1_plus == pytest.approx(0.25, abs=1e-12)
+    assert stats.p00[0] == pytest.approx(0.45, abs=1e-12)
+    assert stats.p01[0] == pytest.approx(0.05, abs=1e-12)
+    assert stats.p10[0] == pytest.approx(0.05, abs=1e-12)
+    assert stats.p11[0] == pytest.approx(0.45, abs=1e-12)
+    assert stats.p_e_minus[0] == pytest.approx(0.1, abs=1e-12)
+    assert stats.p0_plus[0] == pytest.approx(0.25, abs=1e-12)
+    assert stats.p1_plus[0] == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(ValueError):
         depolarizing_stats(0.6, 0.1)
     with pytest.raises(ValueError):
@@ -332,7 +398,7 @@ def test_closed_form_equals_general_bound():
     for b in np.linspace(-0.5, 0.5, 21):
         for q in np.linspace(0.0, 1.0, 21):
             f = depolarizing_bound(b, q)
-            g = key_rate_bound(depolarizing_stats(b, q)).bound
+            g = key_rate_bound(depolarizing_stats(b, q)).bound[0]
             assert abs(f - g) <= 1e-12
 
 
@@ -422,24 +488,24 @@ def test_threshold_stops_at_ulp_resolution():
 def test_entropy_terms_known_values():
     # the report's entropy terms: h_A = h(p00 + p01), k0 = h(k1), k2
     report = key_rate_bound(IDENTITY_STATS)
-    assert (report.h_A, report.k0, report.k1, report.k2) == (1.0, 0.0, 1.0, 0.0)
+    assert (report.h_A[0], report.k0[0], report.k1[0], report.k2[0]) == (1.0, 0.0, 1.0, 0.0)
 
-    quarter = ObservedStatistics(
+    quarter = Statistics(
         bias=0.0, p00=0.25, p01=0.25, p10=0.25, p11=0.25,
         p_e_minus=0.5, p0_plus=0.25, p1_plus=0.25,
     )
     report = key_rate_bound(quarter)
-    assert (report.h_A, report.k0, report.k1, report.k2) == (1.0, 1.0, 0.5, 0.5)
-    assert report.abort and report.lam == 0.5
-    assert report.bound == pytest.approx(-1.0, abs=1e-12)
+    assert (report.h_A[0], report.k0[0], report.k1[0], report.k2[0]) == (1.0, 1.0, 0.5, 0.5)
+    assert report.abort[0] and report.lam[0] == 0.5
+    assert report.bound[0] == pytest.approx(-1.0, abs=1e-12)
 
     report = key_rate_bound(depolarizing_stats(0.0, 0.2))
-    assert report.h_A == 1.0
-    assert report.k1 == pytest.approx(0.9, abs=1e-15)
-    assert report.k2 == pytest.approx(0.1, abs=1e-15)
+    assert report.h_A[0] == 1.0
+    assert report.k1[0] == pytest.approx(0.9, abs=1e-15)
+    assert report.k2[0] == pytest.approx(0.1, abs=1e-15)
     # h(0.9), frozen from the four-outcome entropy 1.46899559359 = h(0.9) + 1
-    assert report.k0 == pytest.approx(0.46899559359, abs=1e-9)
-    assert report.k0 == pytest.approx(oracle.h2(0.9), abs=1e-15)
+    assert report.k0[0] == pytest.approx(0.46899559359, abs=1e-9)
+    assert report.k0[0] == pytest.approx(oracle.h2(0.9), abs=1e-15)
 
 
 # ------------------------------------------------------------------ Q_X
@@ -467,7 +533,7 @@ def test_statistics_file_round_trip(tmp_path):
     save_statistics(stats, path)
     back = load_statistics(path)
     for name in ("bias",) + STAT_FIELDS:
-        assert getattr(back, name) == getattr(stats, name)
+        assert getattr(back, name)[0] == getattr(stats, name)[0]
 
 
 def test_statistics_file_errors(tmp_path):
