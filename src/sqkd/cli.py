@@ -8,6 +8,7 @@ signals a protocol abort (or an attack file fails validation), and 141
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -172,9 +173,13 @@ def cmd_simulate(args) -> int:
     cfg = protocol.ProtocolConfig(
         n=args.n, seed=args.seed, delta=args.delta, p_t=args.pt,
     )
-    transcript = protocol.run_protocol(cfg, attack)
-    if args.export is not None:
-        transcript.to_csv(args.export)
+    # the export file is opened before the run, so that a path that cannot be
+    # written fails at once, and held open until the export is written, so
+    # that the reader of a FIFO sees one stream
+    with open(args.export, "wb") if args.export is not None else contextlib.nullcontext():
+        transcript = protocol.run_protocol(cfg, attack)
+        if args.export is not None:
+            transcript.to_csv(args.export)
     for line in transcript.summary_lines():
         print(line)
     if transcript.estimated.complete():
@@ -213,6 +218,7 @@ def build_parser() -> _Parser:
     """The argument parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="sqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # the parser of each subcommand by name
 
     p = sub.add_parser("bound", help="key-rate lower bound from (b,q), a stats file or an attack file")
     p.add_argument("--b", type=float, default=None, help="bias of the injected state")
@@ -255,7 +261,14 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, -h or an unknown command: the full parser says what is wrong
+        args = parser.parse_args(argv)
+    else:  # a subcommand parses its own arguments, about a third of the cost of the full parser
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit

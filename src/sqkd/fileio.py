@@ -35,9 +35,14 @@ _DIGITS = np.stack(
 # "0.000", 8-31 twelve digits each followed by a point slot, 32-35 the
 # exponent and 36 the separator; the middle three words come from _PAIRS
 _QUADS = _DIGITS.view(np.uint8).reshape(-1, 4)
-_PAIRS = np.insert(_QUADS, [1, 2, 3, 4], ord("."), axis=1).view(np.uint64).ravel()  # b"0.0.0.0." ...
-# _SIGNIFICANT[j][g]: the significant digits of a 12-digit number whose j-th 4-digit group is g > 0
-_SIGNIFICANT = ((_QUADS > ord("0")) * np.arange(1, 13, dtype=np.uint8).reshape(3, 1, 4)).max(-1)
+_PAIRS = np.full((10**4, 8), ord("."), dtype=np.uint8)
+_PAIRS[:, ::2] = _QUADS
+_PAIRS = _PAIRS.view(np.uint64).ravel()  # b"0.0.0.0." ...
+# _SIGNIFICANT[j][g]: the significant digits of a 12-digit number whose j-th
+# 4-digit group is g > 0: 4 * j plus the place of g's last nonzero digit
+_SIGNIFICANT = np.empty((3, 10**4), dtype=np.uint8)
+_SIGNIFICANT[0] = ((_QUADS > ord("0")) * np.arange(1, 5, dtype=np.uint8)).max(1)
+_SIGNIFICANT[1:] = _SIGNIFICANT[0] + np.array([[4], [8]], dtype=np.uint8) * (_SIGNIFICANT[0] > 0)
 _HEAD = np.frombuffer(b"\x00" b"0.000\0\0" b"-0.000\0\0", dtype=np.uint64)
 _TAIL = np.frombuffer(b"".join(b"e%+03d\0\0\0\0" % x for x in range(-11, 35)), dtype=np.uint64)
 _COMMA, _NEWLINE = np.frombuffer(b"\0\0\0\0,\0\0\0\0\0\0\0\n\0\0\0", dtype=np.uint64)

@@ -37,7 +37,7 @@ ABORT_TEST_BIT_NOISE = "TEST_BIT_NOISE"
 
 TRANSCRIPT_HEADER = "round,bob_choice,alice_basis,bob_bit,alice_outcome"
 
-#: rounds drawn, classified and written per block; bounds the working memory
+#: rounds drawn and classified per block; bounds the working memory of a run
 CHUNK = 4096
 #: the most rounds one run may have; larger requests are rejected before allocation
 MAX_ROUNDS = 10**8
@@ -58,19 +58,35 @@ _ROW_SUFFIX = tuple(
     for choice, basis, bit in _BRANCHES
     for outcome in _OUTCOMES[basis]
 )
-# the same endings as fixed 12-byte records; CTRL endings are one byte
-# shorter and end in a NUL pad byte
-_ROW_END = np.array([end.encode() for end in _ROW_SUFFIX], dtype="S12").view("V12")
-# a round index is written as 4-digit groups, enough for every index below MAX_ROUNDS
-_GROUPS = -(-len(str(MAX_ROUNDS - 1)) // 4)
-_INDEX_WIDTH = 4 * _GROUPS
-# _KEEP[g, d] masks the bytes of group g that an index of d digits shows
-_KEEP = np.ascontiguousarray(
-    np.where(np.arange(_INDEX_WIDTH) >= _INDEX_WIDTH - np.arange(_INDEX_WIDTH + 1)[:, None], 0xFF, 0)
-    .astype(np.uint8).view(np.uint32).T
-)
-# 10, 100, ...: the smallest index of each digit count above one
-_DECADES = 10 ** np.arange(1, _INDEX_WIDTH)
+# the same endings as 16-byte records of four NULs and the ending; CTRL
+# endings are one byte shorter and end in a NUL pad byte
+_ROW_END = np.array([bytes(4) + end.encode() for end in _ROW_SUFFIX], dtype="S16").view("V16")
+#: the rows of one index block share the digits of the index above the last four
+_BLOCK = 10**4
+
+
+def _layout(width: int) -> tuple[np.dtype, np.ndarray]:
+    """The record of a row whose index has ``width`` digits, and the "low"
+    field of each index below 10**4.
+
+    The fields, in the order they are written: "tail", four NULs and the
+    ending; "high", the digits above the last four as one 4-byte word (NUL
+    below 10**4), whose bytes past those digits fall on "low"; "low", the
+    last four digits, or all of them below 10**4, after 4 - width of the
+    NULs.  The second item holds the last ``min(width, 4)`` bytes of each
+    entry of the digit table.
+    """
+    low = min(width, 4)
+    layout = np.dtype({
+        "names": ["tail", "high", "low"],
+        "formats": ["V16", "<u4", f"V{low}"],
+        "offsets": [max(width, 4) - 4, 0, abs(width - 4)],
+        "itemsize": max(width, 4) + 12,
+    })
+    return layout, np.ndarray(_BLOCK, f"V{low}", fileio._DIGITS, 4 - low, (4,))
+
+
+_LAYOUTS = {width: _layout(width) for width in range(1, len(str(MAX_ROUNDS - 1)) + 1)}
 # branch by 4 * sift + 2 * (alice_basis == X) + bob_bit; CTRL rounds ignore the bit
 _BRANCH_OF = np.array([4, 4, 5, 5, 0, 1, 2, 3], dtype=np.int8)
 
@@ -255,27 +271,36 @@ class ProtocolTranscript:
         """Write one row per round plus the summary block as '#' comments."""
         with open(path, "wb") as fh:
             fh.write(f"{TRANSCRIPT_HEADER}\n".encode())
-            for start in range(0, self.n_rounds, CHUNK):
-                fh.write(_rows(start, self.cells[start:start + CHUNK]))
+            for start in range(0, self.n_rounds, _BLOCK):
+                fh.write(_rows(start, self.cells[start:start + _BLOCK]))
             fh.write("".join(f"# {line}\n" for line in self.summary_lines()).encode())
 
 
 def _rows(start: int, cells: np.ndarray) -> bytes:
     """CSV rows of the rounds start, start + 1, ... whose cell codes are ``cells``.
 
-    Each row is first laid out as a fixed-width record: the index as
-    zero-padded 4-digit groups, then the 12-byte ending.  Leading zeros
-    and the pad byte of CTRL endings are NUL, which never occurs in a row,
-    so deleting every NUL leaves the rows.
+    The rows are built one index block at a time: a run of indices of one
+    width that share the digits above the last four, so a block ends at each
+    power of ten and each multiple of 10**4.  Each row of a block is one
+    record (see ``_layout``): the ending is gathered by cell code, the high
+    digits are one constant and the last digits a slice of the digit table.
+    The NULs left, the pad byte of CTRL endings and those before an index
+    below 1000, never occur in a row, so deleting every NUL leaves the rows.
     """
-    index = np.arange(start, start + cells.size)
-    n_digits = 1 + np.searchsorted(_DECADES, index, side="right")
-    records = np.empty((cells.size, _GROUPS + 3), dtype=np.uint32)
-    for g in range(_GROUPS):
-        group = index // 10 ** (4 * (_GROUPS - 1 - g)) % 10**4
-        records[:, g] = fileio._DIGITS[group] & _KEEP[g, n_digits]
-    records[:, _GROUPS:].view("V12")[:, 0] = _ROW_END[cells]
-    return records.tobytes().translate(None, b"\0")
+    blocks = []
+    stop = start + cells.size
+    a = start
+    while a < stop:
+        width = len(str(a))
+        b = min(stop, a - a % _BLOCK + _BLOCK, 10**width)
+        layout, last_digits = _LAYOUTS[width]
+        records = np.empty(b - a, layout)
+        records["tail"] = _ROW_END[cells[a - start:b - start].astype(np.intp)]  # numpy gathers fastest by intp
+        records["high"] = int.from_bytes(str(a)[:-4].encode(), "little")
+        records["low"] = last_digits[a % _BLOCK:a % _BLOCK + b - a]
+        blocks.append(records.tobytes().replace(b"\0", b""))
+        a = b
+    return b"".join(blocks)
 
 
 def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTranscript:
@@ -302,13 +327,18 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     ], 0.0, 1.0)
 
     bit_cut = 0.5 + attack.bias
+    # the first cell and the first-outcome probability of each packed choice
+    first_cell, p_first = 2 * _BRANCH_OF, p_first[_BRANCH_OF]
     cells = np.empty(n_rounds, dtype=np.int8)
     table = np.zeros(12, dtype=np.int64)
+    draws = np.empty((CHUNK, 4))
     for start in range(0, n_rounds, CHUNK):
-        u = rng.random((min(CHUNK, n_rounds - start), 4))
-        packed = 4 * (u[:, 0] < cfg.p_sift) + 2 * (u[:, 1] >= cfg.p_z) + (u[:, 2] >= bit_cut)
-        branch = _BRANCH_OF[packed]
-        block = 2 * branch + (u[:, 3] >= p_first[branch])
+        u = rng.random(out=draws[:n_rounds - start])
+        packed = (u[:, 0] < cfg.p_sift).view(np.uint8) << 2
+        packed |= (u[:, 1] >= cfg.p_z).view(np.uint8) << 1
+        packed |= (u[:, 2] >= bit_cut).view(np.uint8)
+        packed = packed.astype(np.intp)
+        block = first_cell[packed] + (u[:, 3] >= p_first[packed])
         cells[start:start + block.size] = block
         table += np.bincount(block, minlength=12)
 
@@ -321,7 +351,8 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     if sz_rounds.size < 2 * n:
         abort = ABORT_TOO_FEW_SIFT_Z
     else:
-        picked = np.sort(rng.choice(sz_rounds.size, size=n, replace=False))  # positions in sz_rounds
+        picked = np.zeros(sz_rounds.size, dtype=bool)
+        picked[rng.choice(sz_rounds.size, size=n, replace=False)] = True
         test_rounds = sz_rounds[picked]
         test_cells = cells[test_rounds]
         test_error = int(np.count_nonzero((test_cells & 1) != (test_cells >> 1))) / n
@@ -330,9 +361,7 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
         elif test_error > cfg.p_t:
             abort = ABORT_TEST_BIT_NOISE
         else:
-            unpicked = np.ones(sz_rounds.size, dtype=bool)
-            unpicked[picked] = False
-            key_cells = cells[sz_rounds[unpicked][:n]]
+            key_cells = cells[sz_rounds[~picked][:n]]
             key_alice = key_cells & 1
             key_bob = key_cells >> 1
 

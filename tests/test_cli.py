@@ -433,6 +433,40 @@ def test_simulate_export_is_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_export_to_an_unwritable_path_fails_before_the_run(capsys, tmp_path, monkeypatch):
+    def run_protocol(cfg, attack):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli.protocol, "run_protocol", run_protocol)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "simulate", "--n", "1000000", "--seed", "1", "--q", "0.05", "--b", "0",
+                             "--export", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"sqkd: error: [Errno 2] No such file or directory: {str(path)!r}"]
+    # the configuration is checked first
+    code, out, err = run_cli(capsys, "simulate", "--n", "0", "--seed", "1", "--q", "0.05", "--b", "0",
+                             "--export", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["sqkd: error: raw key length n must be a positive integer, got 0"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_simulate_exports_through_a_named_pipe(capsys, tmp_path):
+    args = ("simulate", "--n", "1000", "--seed", "1", "--q", "0.05", "--b", "0")
+    assert run_cli(capsys, *args, "--export", str(tmp_path / "t.csv"))[0] == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    child = _sqkd(*args, "--export", str(fifo), stdout=subprocess.DEVNULL)
+    try:
+        with open(fifo, "rb") as fh:  # one reader to the end of the stream
+            data = fh.read()
+        assert child.wait(timeout=60) == 0
+    finally:
+        child.kill()
+        child.wait()
+    assert data == (tmp_path / "t.csv").read_bytes()
+
+
 def test_simulate_with_attack_file(capsys, tmp_path):
     path = tmp_path / "attack.txt"
     save_attack(random_attack(np.random.default_rng(3), ancilla_dim=2), path)
@@ -547,6 +581,34 @@ def test_argparse_errors_are_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+BOUND_HELP = """\
+usage: sqkd bound [-h] [--b B] [--q Q] [--stats STATS] [--attack ATTACK]
+
+options:
+  -h, --help       show this help message and exit
+  --b B            bias of the injected state
+  --q Q            depolarizing parameter of the reverse channel
+  --stats STATS    statistics file (key=value lines)
+  --attack ATTACK  attack specification file
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ((), (1, "", "sqkd: error: the following arguments are required: command\n")),
+    (("nosuch",), (1, "", "sqkd: error: argument command: invalid choice: 'nosuch'"
+                          " (choose from 'bound', 'sweep', 'threshold', 'simulate', 'validate')\n")),
+    (("bound", "--b", "0.1", "--q", "0.1", "extra"), (1, "", "sqkd: error: unrecognized arguments: extra\n")),
+    (("bound", "--b"), (1, "", "sqkd bound: error: argument --b: expected one argument\n")),
+    (("bound", "--help"), (0, BOUND_HELP, "")),
+], ids=["no command", "unknown command", "extra argument", "missing value", "subcommand help"])
+def test_a_subcommand_parsed_alone_answers_as_the_full_parser(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert run_cli(capsys, *argv) == expected
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(list(argv))
+    assert (exc.value.code, *capsys.readouterr()) == expected
 
 
 def test_negative_numbers_in_exponent_form_are_values(capsys, tmp_path):

@@ -7,9 +7,12 @@ scaling is exact.  The batteries below aim at each of those, on over 10**6
 values in all.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from sqkd import fileio
 from sqkd.fileio import csv_rows, fmt
 
 
@@ -101,3 +104,15 @@ def test_csv_rows_writes_multi_column_rows(n_columns):
 
 def test_csv_rows_of_empty_columns_is_empty():
     assert csv_rows(np.array([]), np.array([])) == b""
+
+
+@pytest.mark.parametrize("name, dtype, shape, digest", [
+    ("_DIGITS", np.uint32, (10**4,), "f6c56731dfa8918781871e46713283ad77aae49109cd0bc1bd7c62b4006f89ca"),
+    ("_PAIRS", np.uint64, (10**4,), "26c5ebc1b79b82e79931aedb9c8e0e4942b8934c51cd861c0bccaa2dfbaeb825"),
+    ("_SIGNIFICANT", np.uint8, (3, 10**4), "67337d73591713bd265de4f810ecf95399e42c93a57fabf7e73f48fd1d981415"),
+])
+def test_digit_tables_keep_their_bytes(name, dtype, shape, digest):
+    # sha256 of the tables as np.insert and a (3, 10**4, 4) product built them
+    table = getattr(fileio, name)
+    assert (table.dtype, table.shape) == (np.dtype(dtype), shape)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == digest

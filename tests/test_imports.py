@@ -42,3 +42,33 @@ def test_src_imports_only_the_standard_library_numpy_and_itself():
         for name in imported_modules(path):
             top = name.split(".")[0]
             assert name.startswith(".") or top in ("numpy", "sqkd") or top in sys.stdlib_module_names, (path.name, name)
+
+
+def top_level_names(tree):
+    """The names a module binds at its top level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def test_every_top_level_name_in_src_has_a_caller():
+    # a name counts as used where its own module loads it, or where another
+    # file imports it from that module or reads it as an attribute of the module
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "sqkd").glob("*.py")}
+    others = [ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / "scripts").glob("*.py")]
+    used = set()
+    for stem, tree in [*modules.items(), *((None, tree) for tree in others)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((stem, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                used.update((node.module.split(".")[-1], alias.name) for alias in node.names)
+    dead = [(stem, name) for stem, tree in modules.items() for name in top_level_names(tree)
+            if not (name.startswith("__") and name.endswith("__")) and (stem, name) not in used]
+    assert len(modules) > 1
+    assert dead == []

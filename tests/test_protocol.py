@@ -194,19 +194,23 @@ def test_round_records_are_consistent(tmp_path):
             assert outcome in ("+", "-")
 
 
-# (config, q, b) of three depolarizing runs: one aborting, one with
-# nondefault p_sift and p_z, and one longer than three default chunks
+# (config, q, b) of four depolarizing runs: one aborting, one with
+# nondefault p_sift and p_z, one longer than three default chunks, and one of
+# 120,000 rounds, whose index width changes from 5 to 6 digits
 EXPORT_RUNS = (
     (dict(n=200, seed=31), 0.6, 0.0),
     (dict(n=150, seed=32, delta=0.6, p_sift=0.3, p_z=0.7, p_t=0.3), 0.05, 0.15),
     (dict(n=1500, seed=33), 0.08, 0.1),
+    (dict(n=12000, seed=34), 0.04, 0.05),
 )
-# sha256 of their exports, written by the per-round-array simulator that the
-# cell-code transcript replaced
+# sha256 of their exports: the first three written by the per-round-array
+# simulator that the cell-code transcript replaced, the fourth by the NUL-mask
+# writer that the index-block writer replaced
 EXPORT_SHA256 = (
     "7fcc7e9ee01239e8610ecf8aedff28551541e2ce25cf79526c0222e545629d1b",
     "af77fb4dfcc5664fb6e01782e46717712cadb6aa8125cd69e0c4def6fc01b49a",
     "7f70e68140f600b0a19b266b78f87193250d4811bd54b7ba4980bc30bdd3f270",
+    "cd20eb71fa8b8c5b6e8f0e44e33989bed4aa0573168966c45cfcc0565f3e4a0d",
 )
 
 
@@ -216,11 +220,13 @@ DEFAULT_CHUNK = sqkd.protocol.CHUNK
 @pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
 def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(sqkd.protocol, "CHUNK", chunk)
-    transcripts = [run_protocol(ProtocolConfig(**cfg), depolarizing_attack(b, q)) for cfg, q, b in EXPORT_RUNS]
+    # the 120,000-round run alone would take seconds at chunk 1
+    runs = EXPORT_RUNS if chunk == DEFAULT_CHUNK else EXPORT_RUNS[:3]
+    transcripts = [run_protocol(ProtocolConfig(**cfg), depolarizing_attack(b, q)) for cfg, q, b in runs]
     for tr, digest in zip(transcripts, EXPORT_SHA256):
         tr.to_csv(tmp_path / "t.csv")
         assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
-    assert [tr.abort_reason for tr in transcripts] == [ABORT_CTRL_X_NOISE, None, None]
+    assert [tr.abort_reason for tr in transcripts] == [ABORT_CTRL_X_NOISE, None, None, None][:len(runs)]
     assert transcripts[2].n_rounds > 3 * DEFAULT_CHUNK
 
 
@@ -229,8 +235,10 @@ def reference_rows(start, cells):
     return "".join(f"{i}{_ROW_SUFFIX[c]}" for i, c in enumerate(cells.tolist(), start)).encode()
 
 
-# starts just below and at each change of index width, and the last rounds a run may have
-@pytest.mark.parametrize("start", [0, *(10**k - 1 for k in range(1, 8)), 10**4, MAX_ROUNDS - 5])
+# starts just below and at each change of index width, just below a change of
+# the digits above the last four, and the last rounds a run may have
+@pytest.mark.parametrize("start", list(dict.fromkeys(
+    [0, *(10**k - 1 for k in range(1, 8)), 10**4, *(k * 10**4 - 1 for k in (1, 2, 7, 9999)), MAX_ROUNDS - 5])))
 def test_block_writer_matches_the_per_row_writer(start):
     size = min(300, MAX_ROUNDS - start)
     cells = np.random.default_rng(start).integers(0, 12, size).astype(np.int8)
@@ -238,6 +246,12 @@ def test_block_writer_matches_the_per_row_writer(start):
     for code in np.arange(12, dtype=np.int8):
         assert _rows(start, np.full(1, code)) == reference_rows(start, np.full(1, code))
     assert _rows(start, cells[:0]) == b""
+
+
+def test_block_writer_matches_the_per_row_writer_across_several_blocks():
+    # 29,990 ... 54,989 crosses three multiples of 10**4
+    cells = np.random.default_rng(29990).integers(0, 12, 25000).astype(np.int8)
+    assert _rows(29990, cells) == reference_rows(29990, cells)
 
 
 @pytest.mark.parametrize("cfg, q, b", EXPORT_RUNS)
