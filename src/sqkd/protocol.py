@@ -351,7 +351,7 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     if sz_rounds.size < 2 * n:
         abort = ABORT_TOO_FEW_SIFT_Z
     else:
-        picked = np.zeros(sz_rounds.size, dtype=bool)
+        picked = np.zeros(sz_rounds.size, dtype=bool)  # the test rounds among sz_rounds
         picked[rng.choice(sz_rounds.size, size=n, replace=False)] = True
         test_rounds = sz_rounds[picked]
         test_cells = cells[test_rounds]
