@@ -8,7 +8,7 @@ bound recomputed from the estimates with the closed form f(b, q).
 
 import argparse
 
-from sqkd.attacks import STAT_FIELDS, compute_statistics, depolarizing_attack
+from sqkd.attacks import STAT_FIELDS, Statistics, compute_statistics, depolarizing_attack
 from sqkd.keyrate import depolarizing_bound, key_rate_bound
 from sqkd.protocol import ProtocolConfig, run_protocol
 
@@ -26,12 +26,12 @@ def main():
             tr = run_protocol(cfg, attack)
             analytic = compute_statistics(attack)
             print(f"\nb={b}  q={q}  rounds={tr.n_rounds}  abort={tr.abort_reason}")
-            for name in STAT_FIELDS:
-                est = getattr(tr.estimated, name)
+            value, se = tr.estimates()
+            for name, v, v_se in zip(STAT_FIELDS, value, se):
                 true = b if name == "bias" else getattr(analytic, name)[0]
-                z = abs(est.value - true) / est.se if est.se else 0.0
-                print(f"  {name:10s} est={est.value:.5f}  exact={true:.5f}  |z|={z:.2f}")
-            est_bound = key_rate_bound(tr.estimated.to_observed()).bound[0]
+                z = abs(v - true) / v_se if v_se else 0.0
+                print(f"  {name:10s} est={v:.5f}  exact={true:.5f}  |z|={z:.2f}")
+            est_bound = key_rate_bound(Statistics(*value)).bound[0]
             print(f"  bound from estimates: {est_bound:.5f}   f(b,q): {depolarizing_bound(b, q):.5f}")
 
 

@@ -19,7 +19,6 @@ from .keyrate import (
     x_error_from_bias,
 )
 from .protocol import (
-    EstimatedStatistics,
     ProtocolConfig,
     ProtocolTranscript,
     run_protocol,
@@ -39,7 +38,6 @@ __all__ = [
     "threshold_b",
     "threshold_q",
     "x_error_from_bias",
-    "EstimatedStatistics",
     "ProtocolConfig",
     "ProtocolTranscript",
     "run_protocol",

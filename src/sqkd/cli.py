@@ -182,9 +182,12 @@ def cmd_simulate(args) -> int:
             transcript.to_csv(args.export)
     for line in transcript.summary_lines():
         print(line)
-    if transcript.estimated.complete():
+    estimate, _ = transcript.estimates()
+    if np.isnan(estimate).any():
+        print("bound=none")
+    else:
         try:
-            report = keyrate.key_rate_bound(transcript.estimated.to_observed())
+            report = keyrate.key_rate_bound(attacks.Statistics(*estimate))
         except ValueError as exc:
             print("bound=none")
             print(f"bound_error={exc}")
@@ -194,8 +197,6 @@ def cmd_simulate(args) -> int:
             for line in keyrate.format_report(report).splitlines():
                 key, _, value = line.partition("=")
                 print(line if key == "bound" else f"bound_{key}={value}")
-    else:
-        print("bound=none")
     return EXIT_ABORT if transcript.abort_reason else EXIT_OK
 
 

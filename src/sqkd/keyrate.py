@@ -28,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from . import fileio
-from .attacks import Statistics, _check_bias, _check_noise
+from .attacks import STAT_FIELDS, Statistics, _check_bias, _check_noise
 from .fileio import ParseError
 
 
@@ -271,7 +271,7 @@ def threshold_b(q: float, tol: float = 1e-4) -> float | None:
 # ---------------------------------------------------------------------------
 # statistics file and report formatting
 
-_STATS_KEYS = ("b", "p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_plus")
+_STATS_KEYS = ("b", *STAT_FIELDS[1:])
 
 
 def load_statistics(path) -> Statistics:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .attacks import STAT_FIELDS, RestrictedAttack, Statistics
+from .attacks import STAT_FIELDS, RestrictedAttack
 
 SIFT = "SIFT"
 CTRL = "CTRL"
@@ -89,6 +89,26 @@ def _layout(width: int) -> tuple[np.dtype, np.ndarray]:
 _LAYOUTS = {width: _layout(width) for width in range(1, len(str(MAX_ROUNDS - 1)) + 1)}
 # branch by 4 * sift + 2 * (alice_basis == X) + bob_bit; CTRL rounds ignore the bit
 _BRANCH_OF = np.array([4, 4, 5, 5, 0, 1, 2, 3], dtype=np.int8)
+# the cells each estimate counts and the cells of its conditioning class, one
+# row per estimate in STAT_FIELDS order; the columns are the 12 cell codes:
+# SIFT-Z (Bob, Alice) = 00, 01, 10, 11, SIFT-X (Bob, Alice) = 0+, 0-, 1+, 1-,
+# CTRL-Z 0, 1 and CTRL-X +, -
+_COUNTED = np.array([
+    [1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0],  # bias + 1/2: Bob's bit 0
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # p00
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # p01
+    [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # p10
+    [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],  # p11
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],  # p_e_minus
+    [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],  # p0_plus
+    [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],  # p1_plus
+])
+_CLASS = np.array([
+    [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0],  # bias: the measured rounds
+    *[[1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]] * 4,  # p00 ... p11: SIFT-Z
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],  # p_e_minus: CTRL-X
+    *[[0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0]] * 2,  # p0_plus, p1_plus: SIFT-X
+])
 
 
 @dataclass(frozen=True)
@@ -125,51 +145,6 @@ class ProtocolConfig:
     @property
     def n_rounds(self) -> int:
         return math.ceil(8 * self.n * (1.0 + self.delta))
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Frequency estimate with its binomial standard error."""
-
-    value: float
-    se: float
-    n_samples: int
-
-
-@dataclass(frozen=True)
-class EstimatedStatistics:
-    """Empirical counterparts of Statistics; None marks a field whose
-    conditioning class was empty."""
-
-    bias: Estimate | None
-    p00: Estimate | None
-    p01: Estimate | None
-    p10: Estimate | None
-    p11: Estimate | None
-    p_e_minus: Estimate | None
-    p0_plus: Estimate | None
-    p1_plus: Estimate | None
-
-    def complete(self) -> bool:
-        return all(getattr(self, name) is not None for name in STAT_FIELDS)
-
-    def to_observed(self) -> Statistics:
-        """Build a one-point Statistics from the point estimates.
-
-        Raises ValueError when a field is unavailable or when sampling noise
-        pushes the estimates outside the statistics invariants.
-        """
-        if not self.complete():
-            missing = [name for name in STAT_FIELDS if getattr(self, name) is None]
-            raise ValueError(f"estimates unavailable for: {', '.join(missing)}")
-        return Statistics(**{name: getattr(self, name).value for name in STAT_FIELDS})
-
-
-def _freq(count: int, m: int) -> Estimate | None:
-    if not m:
-        return None
-    p = count / m
-    return Estimate(value=p, se=math.sqrt(p * (1.0 - p) / m), n_samples=m)
 
 
 @dataclass(frozen=True)
@@ -211,35 +186,20 @@ class ProtocolTranscript:
     def ctrl_x_count(self) -> int:
         return int(self.table[10:12].sum())
 
-    @property
-    def ctrl_x_error_rate(self) -> float:
-        n_cx = self.ctrl_x_count
-        return int(self.table[11]) / n_cx if n_cx else math.nan
+    def estimates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frequency estimates of the observable statistics and their binomial
+        standard errors, two float64 arrays in STAT_FIELDS order.
 
-    @property
-    def estimated(self) -> EstimatedStatistics:
-        """Frequency estimates of the observable statistics.
-
-        The raw-key probabilities are conditioned on the measure-and-Z rounds,
-        the bias on all measured rounds, p_e_minus on reflected X rounds and
-        p0_plus / p1_plus (jointly with Bob's bit) on measure-and-X rounds.
-        Empty conditioning classes yield None fields rather than fabricated
-        values.
+        Each estimate is the share of its counted cells in its conditioning
+        class (see ``_COUNTED`` and ``_CLASS``); an empty class gives NaN
+        rather than a fabricated value.
         """
-        t = self.table.tolist()
-        m_sift, m_sz, m_sx, m_cx = sum(t[0:8]), sum(t[0:4]), sum(t[4:8]), t[10] + t[11]
-        frac0 = _freq(t[0] + t[1] + t[4] + t[5], m_sift)
-        bias = None if frac0 is None else Estimate(value=frac0.value - 0.5, se=frac0.se, n_samples=m_sift)
-        return EstimatedStatistics(
-            bias=bias,
-            p00=_freq(t[0], m_sz),
-            p01=_freq(t[2], m_sz),
-            p10=_freq(t[1], m_sz),
-            p11=_freq(t[3], m_sz),
-            p_e_minus=_freq(t[11], m_cx),
-            p0_plus=_freq(t[4], m_sx),
-            p1_plus=_freq(t[6], m_sx),
-        )
+        m = _CLASS @ self.table
+        with np.errstate(invalid="ignore", divide="ignore"):
+            value = _COUNTED @ self.table / m
+            se = np.sqrt(value * (1.0 - value) / m)
+        value[0] -= 0.5  # the bias is the share of Bob's bit 0, less 1/2
+        return value, se
 
     def summary_lines(self) -> list[str]:
         """Key-value summary: counts, error rates, abort and the estimates."""
@@ -247,24 +207,21 @@ class ProtocolTranscript:
         def num(x: float) -> str:
             return "none" if x != x else fileio.fmt(x)
 
+        value, se = self.estimates()
         lines = [
             f"rounds={self.n_rounds}",
             f"sift_z_count={self.sift_z_count}",
             f"sift_x_count={self.sift_x_count}",
             f"ctrl_z_count={self.ctrl_z_count}",
             f"ctrl_x_count={self.ctrl_x_count}",
-            f"ctrl_x_error_rate={num(self.ctrl_x_error_rate)}",
+            f"ctrl_x_error_rate={num(value[5])}",
             f"test_bit_error_rate={num(self.test_bit_error_rate)}",
             f"abort={self.abort_reason or 'none'}",
         ]
-        estimated = self.estimated
-        for name in STAT_FIELDS:
-            est = getattr(estimated, name)
-            if est is None:
-                lines.append(f"{name}=none")
-            else:
-                lines.append(f"{name}={fileio.fmt(est.value)}")
-                lines.append(f"{name}_se={fileio.fmt(est.se)}")
+        for name, v, v_se in zip(STAT_FIELDS, value.tolist(), se.tolist()):
+            lines.append(f"{name}={num(v)}")
+            if v == v:
+                lines.append(f"{name}_se={fileio.fmt(v_se)}")
         return lines
 
     def to_csv(self, path) -> None:

@@ -12,7 +12,7 @@ import pytest
 import oracle
 from conftest import fragments_of, random_attack
 from sqkd import cli
-from sqkd.attacks import compute_statistics, depolarizing_attack
+from sqkd.attacks import Statistics, compute_statistics, depolarizing_attack
 from sqkd.keyrate import (
     _lambda,
     depolarizing_bound,
@@ -198,12 +198,12 @@ def test_criterion_08_monte_carlo_consistency(q, b, seed):
     assert tr.n_rounds == 800_000
     analytic = compute_statistics(attack)
     bad = []
-    for name in ("bias",) + STAT_FIELDS:
-        est = getattr(tr.estimated, name)
+    value, se = tr.estimates()
+    for name, v, v_se in zip(("bias",) + STAT_FIELDS, value, se):
         true = b if name == "bias" else getattr(analytic, name)[0]
-        if abs(est.value - true) > 4 * est.se:
-            bad.append(f"{name}: est={est.value:.5f} true={true:.5f} se={est.se:.2e}")
-    est_bound = key_rate_bound(tr.estimated.to_observed()).bound[0]
+        if abs(v - true) > 4 * v_se:
+            bad.append(f"{name}: est={v:.5f} true={true:.5f} se={v_se:.2e}")
+    est_bound = key_rate_bound(Statistics(*value)).bound[0]
     f_true = depolarizing_bound(b, q)
     elapsed = time.perf_counter() - t0
     ok = not bad and abs(est_bound - f_true) <= 0.05 and elapsed < 60.0

@@ -423,6 +423,42 @@ def test_simulate_abort_exit_code(capsys):
     assert kv(out)["abort"] in ("CTRL_X_NOISE", "TEST_BIT_NOISE")
 
 
+# a run of nine rounds with no CTRL-X round: p_e_minus has an empty class, so
+# it has no value and no standard error, and no bound is taken
+EMPTY_CLASS_STDOUT = """\
+rounds=9
+sift_z_count=6
+sift_x_count=2
+ctrl_z_count=1
+ctrl_x_count=0
+ctrl_x_error_rate=none
+test_bit_error_rate=0
+abort=none
+bias=0
+bias_se=0.176776695297
+p00=0.5
+p00_se=0.204124145232
+p01=0
+p01_se=0
+p10=0
+p10_se=0
+p11=0.5
+p11_se=0.204124145232
+p_e_minus=none
+p0_plus=0
+p0_plus_se=0
+p1_plus=0.5
+p1_plus_se=0.353553390593
+bound=none
+"""
+
+
+def test_simulate_with_an_empty_estimate_class_prints_none(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "1", "--seed", "10", "--q", "0.05", "--b", "0.1",
+                             "--delta", "1e-3")
+    assert (code, out, err) == (0, EMPTY_CLASS_STDOUT, "")
+
+
 def test_simulate_export_is_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("simulate", "--n", "200", "--seed", "11", "--q", "0.05", "--b", "0.1")

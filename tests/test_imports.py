@@ -72,3 +72,24 @@ def test_every_top_level_name_in_src_has_a_caller():
             if not (name.startswith("__") and name.endswith("__")) and (stem, name) not in used]
     assert len(modules) > 1
     assert dead == []
+
+
+def public_methods(tree):
+    """The (class, name) of every public method and property a module's classes define."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
+def test_every_public_method_in_src_has_a_caller():
+    # a method or property counts as used where src/sqkd or scripts/ read an
+    # attribute of its name, on any object
+    paths = [*(ROOT / "src" / "sqkd").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    methods = [(path.stem, *method) for path, tree in trees.items() if path.parent.name == "sqkd"
+               for method in public_methods(tree)]
+    assert len(methods) > 10
+    assert [method for method in methods if method[2] not in read] == []

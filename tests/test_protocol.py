@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sqkd.protocol
-from sqkd.attacks import RestrictedAttack, compute_statistics, depolarizing_attack
+from sqkd.attacks import STAT_FIELDS, RestrictedAttack, Statistics, compute_statistics, depolarizing_attack
 from sqkd.protocol import (
     ABORT_CTRL_X_NOISE,
     ABORT_TEST_BIT_NOISE,
@@ -26,6 +26,7 @@ from sqkd.protocol import (
 from sqkd.fileio import fmt
 
 IDENTITY = depolarizing_attack(0.0, 0.0)
+P_E_MINUS = STAT_FIELDS.index("p_e_minus")
 
 
 # ------------------------------------------------------------------- config
@@ -63,7 +64,7 @@ def test_noiseless_run_gives_identical_keys():
     cfg = ProtocolConfig(n=1000, seed=3, p_t=0.05)
     tr = run_protocol(cfg, IDENTITY)
     assert tr.abort_reason is None
-    assert tr.ctrl_x_error_rate == 0.0
+    assert tr.estimates()[0][P_E_MINUS] == 0.0  # the CTRL-X error rate
     assert tr.test_bit_error_rate == 0.0
     assert tr.raw_key_alice.size == 1000
     assert np.array_equal(tr.raw_key_alice, tr.raw_key_bob)
@@ -77,7 +78,8 @@ def test_runs_are_deterministic():
     assert np.array_equal(a.cells, b.cells)
     assert np.array_equal(a.test_rounds, b.test_rounds)
     assert np.array_equal(a.raw_key_alice, b.raw_key_alice)
-    assert a.estimated == b.estimated
+    for x, y in zip(a.estimates(), b.estimates()):
+        assert np.array_equal(x, y)
 
 
 def test_round_classes_partition_all_rounds():
@@ -92,13 +94,12 @@ def test_estimates_track_analytic_statistics():
     atk = depolarizing_attack(0.0, 0.1)
     tr = run_protocol(ProtocolConfig(n=100_000, seed=12), atk)
     want = compute_statistics(atk)
-    est = tr.estimated
-    err_rate = est.p01.value + est.p10.value
-    err_se = math.hypot(est.p01.se, est.p10.se)
+    value, se = (dict(zip(STAT_FIELDS, x)) for x in tr.estimates())
+    err_rate = value["p01"] + value["p10"]
+    err_se = math.hypot(se["p01"], se["p10"])
     assert abs(err_rate - 0.05) <= 4 * err_se
     for name in ("p00", "p11", "p_e_minus", "p0_plus", "p1_plus"):
-        e = getattr(est, name)
-        assert abs(e.value - getattr(want, name)) <= 4 * e.se
+        assert abs(value[name] - getattr(want, name)) <= 4 * se[name]
 
 
 def test_noisy_channel_aborts():
@@ -146,21 +147,15 @@ def test_empty_ctrl_class_is_flagged_not_fabricated():
     cfg = ProtocolConfig(n=2, seed=4, p_sift=1.0 - 1e-12)
     tr = run_protocol(cfg, IDENTITY)
     assert tr.ctrl_x_count == 0
-    est = tr.estimated
-    assert est.p_e_minus is None
-    assert not est.complete()
+    value, se = tr.estimates()
+    assert math.isnan(value[P_E_MINUS]) and math.isnan(se[P_E_MINUS])
     with pytest.raises(ValueError, match="p_e_minus"):
-        est.to_observed()
+        Statistics(*value)
 
 
 def test_estimate_statistics_matches_transcript_field():
     tr = run_protocol(ProtocolConfig(n=300, seed=6), depolarizing_attack(0.2, 0.1))
-    est = tr.estimated
-    assert est.p00.n_samples == tr.sift_z_count
-    assert est.p0_plus.n_samples == tr.sift_x_count
-    assert est.p_e_minus.n_samples == tr.ctrl_x_count
-    assert est.bias.n_samples == tr.sift_z_count + tr.sift_x_count
-    obs = est.to_observed()
+    obs = Statistics(*tr.estimates()[0])
     assert obs.p00 + obs.p01 + obs.p10 + obs.p11 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -270,22 +265,28 @@ def test_summary_matches_an_independent_tally_of_the_rows(tmp_path, cfg, q, b):
     assert (tr.sift_z_count, tr.sift_x_count, tr.ctrl_z_count, tr.ctrl_x_count) == (sz, sx, cz, cx)
     assert [summary[k] for k in ("sift_z_count", "sift_x_count", "ctrl_z_count", "ctrl_x_count")] == [
         str(sz), str(sx), str(cz), str(cx)]
-    assert tr.ctrl_x_error_rate == count(CTRL, "X", outcome="-") / cx
+    value, se = tr.estimates()
+    assert value[P_E_MINUS] == count(CTRL, "X", outcome="-") / cx
     assert summary["ctrl_x_error_rate"] == fmt(count(CTRL, "X", outcome="-") / cx)
-    bob0 = count(SIFT, "Z", "0") + count(SIFT, "X", "0")
+    # each estimate's count and the size m of its conditioning class
     want = {
-        "bias": bob0 / (sz + sx) - 0.5,
-        "p00": count(SIFT, "Z", "0", "0") / sz,
-        "p01": count(SIFT, "Z", "1", "0") / sz,
-        "p10": count(SIFT, "Z", "0", "1") / sz,
-        "p11": count(SIFT, "Z", "1", "1") / sz,
-        "p_e_minus": count(CTRL, "X", outcome="-") / cx,
-        "p0_plus": count(SIFT, "X", "0", "+") / sx,
-        "p1_plus": count(SIFT, "X", "1", "+") / sx,
+        "bias": (count(SIFT, "Z", "0") + count(SIFT, "X", "0"), sz + sx),
+        "p00": (count(SIFT, "Z", "0", "0"), sz),
+        "p01": (count(SIFT, "Z", "1", "0"), sz),
+        "p10": (count(SIFT, "Z", "0", "1"), sz),
+        "p11": (count(SIFT, "Z", "1", "1"), sz),
+        "p_e_minus": (count(CTRL, "X", outcome="-"), cx),
+        "p0_plus": (count(SIFT, "X", "0", "+"), sx),
+        "p1_plus": (count(SIFT, "X", "1", "+"), sx),
     }
-    for name, value in want.items():
-        assert getattr(tr.estimated, name).value == value, name
-        assert summary[name] == fmt(value), name
+    assert list(want) == list(STAT_FIELDS)
+    for i, (name, (k, m)) in enumerate(want.items()):
+        p = k / m
+        want_value = p - 0.5 if name == "bias" else p
+        want_se = math.sqrt(p * (1.0 - p) / m)
+        assert value[i] == want_value and se[i] == want_se, name
+        assert summary[name] == fmt(want_value), name
+        assert summary[f"{name}_se"] == fmt(want_se), name
 
 
 def test_ten_million_rounds_keep_memory_bounded():
