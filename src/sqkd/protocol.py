@@ -5,9 +5,13 @@ Each round Alice sends |+>, Bob either measures in Z and resends his result
 returning state in Z or X.  Under a collective attack the rounds are i.i.d.,
 so every round is sampled from its exact outcome distribution instead of
 tracking a global state.  Round i consumes the i-th four uniforms of one
-Philox stream, drawn CHUNK rounds at a time; a block-wise draw yields the
-same doubles as one large draw, so transcripts are reproducible whatever the
-block size.
+Philox stream.  One Philox counter step gives four doubles, so round i's draw
+starts at counter step i, and a generator jumped there with
+``Philox.advance(i)`` draws what the one stream would.  A run is therefore
+cut into up to eight spans of contiguous rounds, each drawn by its own
+generator on its own thread of this process, CHUNK rounds at a time; a
+block-wise draw yields the same doubles as one large draw, so transcripts are
+reproducible whatever the block size and the number of spans.
 
 A round is stored as one int8 cell code, ``2 * branch + second``.  The branch
 (see ``_BRANCHES``) fixes Bob's choice, Alice's basis and, on SIFT rounds,
@@ -19,6 +23,8 @@ and Alice's is ``cell & 1``.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +43,17 @@ ABORT_TEST_BIT_NOISE = "TEST_BIT_NOISE"
 
 TRANSCRIPT_HEADER = "round,bob_choice,alice_basis,bob_bit,alice_outcome"
 
-#: rounds drawn and classified per block; bounds the working memory of a run
-CHUNK = 4096
+#: rounds drawn and classified per block; bounds the working memory of a span.
+#: Each block makes about a dozen numpy calls whose dispatch holds the GIL, so
+#: larger blocks let the spans' threads overlap more
+CHUNK = 16384
+#: the fewest rounds worth a span of their own: starting and joining a thread
+#: costs about 0.1 ms, 2**15 rounds about 2 ms
+SPAN = 2**15
+#: the cores this process may run on, read once
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+#: the most spans one run is cut into
+MAX_SPANS = 8
 #: the most rounds one run may have; larger requests are rejected before allocation
 MAX_ROUNDS = 10**8
 
@@ -260,6 +275,30 @@ def _rows(start: int, cells: np.ndarray) -> bytes:
     return b"".join(blocks)
 
 
+def _fill(seed: int, start: int, stop: int, cuts: tuple[float, float, float],
+          first_cell: np.ndarray, p_first: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> None:
+    """Draw and classify rounds [start, stop) into ``cells[start:stop]``, and
+    add the number of them in each cell to ``counts``.
+
+    The span's generator is jumped to round ``start`` (see the module
+    docstring).  ``cuts`` holds p_sift, p_z and the bit cut 1/2 + b;
+    ``first_cell`` and ``p_first`` are the first cell and the first-outcome
+    probability of each packed choice.
+    """
+    p_sift, p_z, bit_cut = cuts
+    rng = np.random.Generator(np.random.Philox(seed).advance(start))
+    draws = np.empty((min(CHUNK, stop - start), 4))
+    for a in range(start, stop, CHUNK):
+        u = rng.random(out=draws[:stop - a])
+        packed = (u[:, 0] < p_sift).view(np.uint8) << 2
+        packed |= (u[:, 1] >= p_z).view(np.uint8) << 1
+        packed |= (u[:, 2] >= bit_cut).view(np.uint8)
+        packed = packed.astype(np.intp)
+        block = first_cell[packed] + (u[:, 3] >= p_first[packed])
+        cells[a:a + block.size] = block
+        counts += np.bincount(block, minlength=12)
+
+
 def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTranscript:
     """Simulate all rounds, apply the abort checks in order, and distill keys.
 
@@ -268,7 +307,6 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     """
     n = cfg.n
     n_rounds = cfg.n_rounds
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
 
     # probability of the first outcome (0 for Z, + for X) on each branch
     e00, e01, e10, e11 = attack.e00, attack.e01, attack.e10, attack.e11
@@ -283,24 +321,36 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
         1.0 - np.vdot(gm, gm).real,
     ], 0.0, 1.0)
 
-    bit_cut = 0.5 + attack.bias
-    # the first cell and the first-outcome probability of each packed choice
-    first_cell, p_first = 2 * _BRANCH_OF, p_first[_BRANCH_OF]
+    # spans 1 ... w-1 run on threads, span 0 on this one; a run too short for
+    # two spans, or a single core, starts no thread
+    w = max(1, min(CORES, n_rounds // SPAN, MAX_SPANS))
+    ends = [n_rounds * k // w for k in range(w + 1)]
     cells = np.empty(n_rounds, dtype=np.int8)
-    table = np.zeros(12, dtype=np.int64)
-    draws = np.empty((CHUNK, 4))
-    for start in range(0, n_rounds, CHUNK):
-        u = rng.random(out=draws[:n_rounds - start])
-        packed = (u[:, 0] < cfg.p_sift).view(np.uint8) << 2
-        packed |= (u[:, 1] >= cfg.p_z).view(np.uint8) << 1
-        packed |= (u[:, 2] >= bit_cut).view(np.uint8)
-        packed = packed.astype(np.intp)
-        block = first_cell[packed] + (u[:, 3] >= p_first[packed])
-        cells[start:start + block.size] = block
-        table += np.bincount(block, minlength=12)
+    counts = np.zeros((w, 12), dtype=np.int64)
+    shared = ((cfg.p_sift, cfg.p_z, 0.5 + attack.bias), 2 * _BRANCH_OF, p_first[_BRANCH_OF], cells)
+    errors = [None] * w
+
+    def span(k):
+        try:
+            _fill(cfg.seed, ends[k], ends[k + 1], *shared, counts[k])
+        except BaseException as exc:  # re-raised by the caller once every span has ended
+            errors[k] = exc
+
+    threads = [threading.Thread(target=span, args=(k,)) for k in range(1, w)]
+    try:
+        for thread in threads:
+            thread.start()
+        span(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    table = counts.sum(axis=0)
 
     sz_rounds = np.flatnonzero(cells < 4)
-    n_cx = int(table[10] + table[11])
     abort = None
     test_rounds = np.empty(0, dtype=np.int64)
     test_error = math.nan
@@ -309,11 +359,14 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
         abort = ABORT_TOO_FEW_SIFT_Z
     else:
         picked = np.zeros(sz_rounds.size, dtype=bool)  # the test rounds among sz_rounds
+        # the generator continues where the draw of the last round left the stream
+        rng = np.random.Generator(np.random.Philox(cfg.seed).advance(n_rounds))
         picked[rng.choice(sz_rounds.size, size=n, replace=False)] = True
         test_rounds = sz_rounds[picked]
         test_cells = cells[test_rounds]
         test_error = int(np.count_nonzero((test_cells & 1) != (test_cells >> 1))) / n
-        if n_cx and int(table[11]) / n_cx > cfg.p_t:
+        n_cx = _CLASS[5] @ table  # the p_e_minus rows: the CTRL-X rounds and their - outcomes
+        if n_cx and _COUNTED[5] @ table / n_cx > cfg.p_t:
             abort = ABORT_CTRL_X_NOISE
         elif test_error > cfg.p_t:
             abort = ABORT_TEST_BIT_NOISE

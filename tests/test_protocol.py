@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracle
 import sqkd.protocol
 from sqkd.attacks import STAT_FIELDS, RestrictedAttack, Statistics, compute_statistics, depolarizing_attack
 from sqkd.protocol import (
@@ -140,6 +143,38 @@ def test_bit_flip_attack_flips_every_key_bit():
     assert tr.test_bit_error_rate == 1.0
 
 
+def round_law(u, b, p_sift=0.5, p_z=0.5):
+    """The probability of each branch and of the first outcome on it (0 for Z,
+    + for X), from the dense unitary ``u`` on qubit (x) ancilla.
+
+    Bob receives sqrt(1/2 + b)|0> + sqrt(1/2 - b)|1>.  On SIFT he measures it
+    in Z and sends his result |k> back; on CTRL he reflects it.  The ancilla
+    starts in its first basis state and ``u`` acts on the returning qubit;
+    Alice measures the qubit in Z or X.  Branches in the simulator's order:
+    SIFT-Z bit 0, SIFT-Z bit 1, SIFT-X bit 0, SIFT-X bit 1, CTRL-Z, CTRL-X.
+    """
+    d = u.shape[0] // 2
+    received = np.array([math.sqrt(0.5 + b), math.sqrt(0.5 - b)])
+    first = {"Z": np.kron([[1.0, 0.0], [0.0, 0.0]], np.eye(d)), "X": np.kron(np.full((2, 2), 0.5), np.eye(d))}
+    ancilla = np.eye(d)[0]
+    returned = [u @ np.kron(np.eye(2)[k], ancilla) for k in (0, 1)] + [u @ np.kron(received, ancilla)]
+    branches = [(p_sift * p_z * received[k] ** 2, "Z", returned[k]) for k in (0, 1)]
+    branches += [(p_sift * (1 - p_z) * received[k] ** 2, "X", returned[k]) for k in (0, 1)]
+    branches += [((1 - p_sift) * p_z, "Z", returned[2]), ((1 - p_sift) * (1 - p_z), "X", returned[2])]
+    return [(p_branch, np.vdot(psi, first[basis] @ psi).real) for p_branch, basis, psi in branches]
+
+
+@pytest.mark.parametrize("d, b, seed", [(2, 0.2, 51), (2, -0.2, 52), (4, 0.2, 53), (4, -0.2, 54)])
+def test_rounds_follow_the_round_law_of_a_dense_unitary(d, b, seed):
+    u = oracle.haar_unitary(2 * d, np.random.default_rng(seed))
+    tr = run_protocol(ProtocolConfig(n=10_000, seed=seed), RestrictedAttack(b, **oracle.fragments(u)))
+    assert tr.n_rounds == 100_000
+    for branch, (p_branch, p_first) in enumerate(round_law(u, b)):
+        m, second = int(tr.table[2 * branch:2 * branch + 2].sum()), int(tr.table[2 * branch + 1])
+        assert abs(m - tr.n_rounds * p_branch) <= oracle.count_tolerance(tr.n_rounds, p_branch), branch
+        assert abs(second - m * (1.0 - p_first)) <= oracle.count_tolerance(m, 1.0 - p_first), branch
+
+
 # ---------------------------------------------------------------- estimates
 
 
@@ -190,8 +225,9 @@ def test_round_records_are_consistent(tmp_path):
 
 
 # (config, q, b) of four depolarizing runs: one aborting, one with
-# nondefault p_sift and p_z, one longer than three default chunks, and one of
-# 120,000 rounds, whose index width changes from 5 to 6 digits
+# nondefault p_sift and p_z, one longer than three chunks of 4096 rounds, and
+# one of 120,000 rounds, longer than three default chunks, whose index width
+# changes from 5 to 6 digits
 EXPORT_RUNS = (
     (dict(n=200, seed=31), 0.6, 0.0),
     (dict(n=150, seed=32, delta=0.6, p_sift=0.3, p_z=0.7, p_t=0.3), 0.05, 0.15),
@@ -212,17 +248,109 @@ EXPORT_SHA256 = (
 DEFAULT_CHUNK = sqkd.protocol.CHUNK
 
 
+def record_spans(monkeypatch):
+    """Make every run record the (start, stop, thread) of each span it fills."""
+    fill, spans = sqkd.protocol._fill, []
+
+    def recording_fill(seed, start, stop, *rest):
+        spans.append((start, stop, threading.current_thread()))
+        fill(seed, start, stop, *rest)
+
+    monkeypatch.setattr(sqkd.protocol, "_fill", recording_fill)
+    return spans
+
+
 @pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
 def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(sqkd.protocol, "CHUNK", chunk)
-    # the 120,000-round run alone would take seconds at chunk 1
-    runs = EXPORT_RUNS if chunk == DEFAULT_CHUNK else EXPORT_RUNS[:3]
-    transcripts = [run_protocol(ProtocolConfig(**cfg), depolarizing_attack(b, q)) for cfg, q, b in runs]
-    for tr, digest in zip(transcripts, EXPORT_SHA256):
-        tr.to_csv(tmp_path / "t.csv")
-        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
-    assert [tr.abort_reason for tr in transcripts] == [ABORT_CTRL_X_NOISE, None, None, None][:len(runs)]
-    assert transcripts[2].n_rounds > 3 * DEFAULT_CHUNK
+    # a span per round-count cut point and core; chunk 1 runs one span only,
+    # and without the 120,000-round run, which alone would take seconds
+    runs = EXPORT_RUNS[:3] if chunk == 1 else EXPORT_RUNS
+    monkeypatch.setattr(sqkd.protocol, "SPAN", 1)
+    spans = record_spans(monkeypatch)
+    single = None
+    for w in (1,) if chunk == 1 else (1, 2, 3, 5):
+        monkeypatch.setattr(sqkd.protocol, "CORES", w)
+        transcripts = []
+        for cfg, q, b in runs:
+            spans.clear()
+            tr = run_protocol(ProtocolConfig(**cfg), depolarizing_attack(b, q))
+            starts, stops, threads = zip(*sorted(spans, key=lambda span: span[0]))
+            assert starts[0] == 0 and starts[1:] == stops[:-1] and stops[-1] == tr.n_rounds
+            assert len(starts) == w and len(set(threads)) == w
+            if w > 1:
+                assert any(start % chunk for start in starts), "a span end off the chunk grid"
+            transcripts.append(tr)
+        for tr, digest in zip(transcripts, EXPORT_SHA256):
+            tr.to_csv(tmp_path / "t.csv")
+            assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
+        assert [tr.abort_reason for tr in transcripts] == [ABORT_CTRL_X_NOISE, None, None, None][:len(runs)]
+        single = single or transcripts
+        for tr, one in zip(transcripts, single):
+            assert np.array_equal(tr.test_rounds, one.test_rounds)
+            assert np.array_equal(tr.raw_key_alice, one.raw_key_alice)
+            assert np.array_equal(tr.raw_key_bob, one.raw_key_bob)
+            assert tr.test_bit_error_rate == one.test_bit_error_rate
+    assert transcripts[2].n_rounds > 3 * 4096
+    assert chunk == 1 or transcripts[3].n_rounds > 3 * DEFAULT_CHUNK
+
+
+@pytest.mark.parametrize("cores, n, spans", [(1, 5000, 1), (2, 2000, 1), (2, 5000, 2), (16, 20000, 8)])
+def test_only_runs_of_two_spans_on_two_cores_start_threads(monkeypatch, cores, n, spans):
+    # n = 5000 makes 50,000 rounds, 2000 makes 20,000, fewer than two spans
+    monkeypatch.setattr(sqkd.protocol, "CORES", cores)
+    monkeypatch.setattr(sqkd.protocol, "SPAN", 2**14)
+    recorded = record_spans(monkeypatch)
+    start, started = threading.Thread.start, []
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    tr = run_protocol(ProtocolConfig(n=n, seed=41), IDENTITY)
+    assert len(recorded) == spans and len(started) == spans - 1
+    assert {thread for *_, thread in recorded} - {threading.current_thread()} == set(started)
+    assert tr.abort_reason is None
+
+
+def test_eight_spans_on_two_cores_at_a_short_switch_interval_match_one_span(monkeypatch):
+    # more threads than cores, switched every microsecond: a lost update to
+    # the shared cells or count table would show up as a changed cell or count
+    cfg, atk = ProtocolConfig(n=1500, seed=33), depolarizing_attack(0.1, 0.08)
+    one = run_protocol(cfg, atk)
+    monkeypatch.setattr(sqkd.protocol, "CHUNK", 7)
+    monkeypatch.setattr(sqkd.protocol, "SPAN", 1)
+    monkeypatch.setattr(sqkd.protocol, "CORES", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = run_protocol(cfg, atk)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(many.cells, one.cells) and np.array_equal(many.table, one.table)
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_an_error_in_a_span_is_raised_once_every_span_has_ended(monkeypatch, failing):
+    monkeypatch.setattr(sqkd.protocol, "CORES", 3)
+    monkeypatch.setattr(sqkd.protocol, "SPAN", 1)
+    fill, ended = sqkd.protocol._fill, []
+
+    def failing_fill(seed, start, stop, *rest):
+        span = math.ceil(3 * start / 1000)  # span k starts at floor(1000 k / 3)
+        if span == failing:
+            raise ValueError(f"span {span} failed")
+        time.sleep(0.05)  # still running when the failing span raises
+        fill(seed, start, stop, *rest)
+        ended.append(span)
+
+    monkeypatch.setattr(sqkd.protocol, "_fill", failing_fill)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"span {failing} failed"):
+        run_protocol(ProtocolConfig(n=100, seed=42), IDENTITY)  # 1000 rounds
+    assert sorted(ended) == [span for span in range(3) if span != failing]
+    assert threading.active_count() == before
 
 
 def reference_rows(start, cells):
