@@ -263,8 +263,9 @@ def record_spans(monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
 def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(sqkd.protocol, "CHUNK", chunk)
-    # a span per round-count cut point and core; chunk 1 runs one span only,
-    # and without the 120,000-round run, which alone would take seconds
+    # with SPAN 1 the core count is the number of spans; chunk 1 runs one
+    # span only, and without the 120,000-round run, which alone would take
+    # seconds there
     runs = EXPORT_RUNS[:3] if chunk == 1 else EXPORT_RUNS
     monkeypatch.setattr(sqkd.protocol, "SPAN", 1)
     spans = record_spans(monkeypatch)
