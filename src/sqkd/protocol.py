@@ -48,7 +48,7 @@ TRANSCRIPT_HEADER = "round,bob_choice,alice_basis,bob_bit,alice_outcome"
 #: larger blocks let the spans' threads overlap more
 CHUNK = 16384
 #: the fewest rounds worth a span of their own: starting and joining a thread
-#: costs about 0.1 ms, 2**15 rounds about 2 ms
+#: costs about 0.1 ms, drawing and classifying 2**15 rounds 1-2 ms
 SPAN = 2**15
 #: the cores this process may run on, read once
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
