@@ -62,7 +62,7 @@ def _libm(fn, x, *args) -> np.ndarray:
     doubles bit for bit, on every CPU.
     """
     x = np.asarray(x, dtype=float)
-    values = map(fn, x.ravel().tolist(), *(repeat(a) for a in args))
+    values = map(fn, memoryview(x.ravel()), *(repeat(a) for a in args))
     return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
 

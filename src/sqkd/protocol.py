@@ -4,13 +4,13 @@ Each round Alice sends |+>, Bob either measures in Z and resends his result
 (SIFT) or reflects the state untouched (CTRL), and Alice measures the
 returning state in Z or X.  Under a collective attack the rounds are i.i.d.,
 so every round is sampled from its exact outcome distribution instead of
-tracking a global state.  Round i consumes the i-th four uniforms of one
-Philox stream.  One Philox counter step gives four doubles, so round i's draw
-starts at counter step i, and a generator jumped there with
-``Philox.advance(i)`` draws what the one stream would.  A run is therefore
-cut into up to eight spans of contiguous rounds, each drawn by its own
-generator on its own thread of this process, CHUNK rounds at a time; a
-block-wise draw yields the same doubles as one large draw, so transcripts are
+tracking a global state.  Round i consumes the i-th four words of one Philox
+stream, each compared by its top 53 bits with an integer threshold that
+decides as ``Generator.random``'s double of the word would.  One counter step
+gives four words, so a generator jumped to step i with ``Philox.advance(i)``
+draws round i as the one stream would.  A run is therefore cut into up to
+eight spans of contiguous rounds, each drawn by its own generator on its own
+thread of this process, CHUNK rounds at a time, so transcripts are
 reproducible whatever the block size and the number of spans.
 
 A round is stored as one int8 cell code, ``2 * branch + second``.  The branch
@@ -43,9 +43,8 @@ ABORT_TEST_BIT_NOISE = "TEST_BIT_NOISE"
 
 TRANSCRIPT_HEADER = "round,bob_choice,alice_basis,bob_bit,alice_outcome"
 
-#: rounds drawn and classified per block; bounds the working memory of a span.
-#: Each block makes about a dozen numpy calls whose dispatch holds the GIL, so
-#: larger blocks let the spans' threads overlap more
+#: rounds drawn and classified per block, 512 kB of words; each block's dozen numpy
+#: calls hold the GIL while they dispatch, so larger blocks let the spans' threads overlap more
 CHUNK = 16384
 #: the fewest rounds worth a span of their own: starting and joining a thread
 #: costs about 0.1 ms, drawing and classifying 2**15 rounds 1-2 ms
@@ -176,7 +175,6 @@ class ProtocolTranscript:
     cells: np.ndarray
     table: np.ndarray
     test_bit_error_rate: float
-    test_rounds: np.ndarray
     raw_key_alice: np.ndarray | None
     raw_key_bob: np.ndarray | None
     abort_reason: str | None
@@ -275,28 +273,35 @@ def _rows(start: int, cells: np.ndarray) -> bytes:
     return b"".join(blocks)
 
 
-def _fill(seed: int, start: int, stop: int, cuts: tuple[float, float, float],
-          first_cell: np.ndarray, p_first: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> None:
-    """Draw and classify rounds [start, stop) into ``cells[start:stop]``, and
-    add the number of them in each cell to ``counts``.
+def _thresholds(p) -> np.ndarray:
+    """ceil(p * 2**53) as uint64 for p in [0, 1]: the double k * 2**-53 that
+    ``Generator.random`` makes of a word w, k = w >> 11, is >= p exactly when k is."""
+    return np.ceil(np.multiply(p, 2.0**53)).astype(np.uint64)
 
-    The span's generator is jumped to round ``start`` (see the module
-    docstring).  ``cuts`` holds p_sift, p_z and the bit cut 1/2 + b;
-    ``first_cell`` and ``p_first`` are the first cell and the first-outcome
-    probability of each packed choice.
+
+def _fill(seed: int, start: int, stop: int, cuts: tuple[float, float, float], first_cell: np.ndarray,
+          p_first: np.ndarray, cells: np.ndarray, counts: np.ndarray, sift_z: list) -> None:
+    """Draw and classify rounds [start, stop) into ``cells[start:stop]``, add
+    their number in each cell to ``counts`` and append their SIFT-Z cells to
+    ``sift_z``.  The generator is jumped to round ``start``; ``cuts`` holds
+    p_sift, p_z and the bit cut 1/2 + b, and ``first_cell`` and ``p_first``
+    the first cell and the first-outcome probability of each packed choice.
     """
-    p_sift, p_z, bit_cut = cuts
-    rng = np.random.Generator(np.random.Philox(seed).advance(start))
-    draws = np.empty((min(CHUNK, stop - start), 4))
+    k_sift, k_z, k_bit = _thresholds(cuts)
+    k_first = _thresholds(p_first)
+    bitgen = np.random.Philox(seed).advance(start)
     for a in range(start, stop, CHUNK):
-        u = rng.random(out=draws[:stop - a])
-        packed = (u[:, 0] < p_sift).view(np.uint8) << 2
-        packed |= (u[:, 1] >= p_z).view(np.uint8) << 1
-        packed |= (u[:, 2] >= bit_cut).view(np.uint8)
+        k = bitgen.random_raw(4 * min(CHUNK, stop - a)).reshape(-1, 4)
+        k >>= 11
+        packed = (k[:, 0] < k_sift).view(np.uint8) << 2
+        packed |= (k[:, 1] >= k_z).view(np.uint8) << 1
+        packed |= (k[:, 2] >= k_bit).view(np.uint8)
         packed = packed.astype(np.intp)
-        block = first_cell[packed] + (u[:, 3] >= p_first[packed])
+        block = first_cell[packed] + (k[:, 3] >= k_first[packed])
+        del k  # the next chunk's words are drawn only after these are freed
         cells[a:a + block.size] = block
         counts += np.bincount(block, minlength=12)
+        sift_z.append(np.compress(block < 4, block))
 
 
 def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTranscript:
@@ -305,8 +310,7 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     Aborts are recorded on the transcript, not raised.  Identical
     (cfg, attack) pairs produce bit-identical transcripts.
     """
-    n = cfg.n
-    n_rounds = cfg.n_rounds
+    n, n_rounds = cfg.n, cfg.n_rounds
 
     # probability of the first outcome (0 for Z, + for X) on each branch
     e00, e01, e10, e11 = attack.e00, attack.e01, attack.e10, attack.e11
@@ -327,12 +331,13 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     ends = [n_rounds * k // w for k in range(w + 1)]
     cells = np.empty(n_rounds, dtype=np.int8)
     counts = np.zeros((w, 12), dtype=np.int64)
+    sift_z = [[] for _ in range(w)]
     shared = ((cfg.p_sift, cfg.p_z, 0.5 + attack.bias), 2 * _BRANCH_OF, p_first[_BRANCH_OF], cells)
     errors = [None] * w
 
     def span(k):
         try:
-            _fill(cfg.seed, ends[k], ends[k + 1], *shared, counts[k])
+            _fill(cfg.seed, ends[k], ends[k + 1], *shared, counts[k], sift_z[k])
         except BaseException as exc:  # re-raised by the caller once every span has ended
             errors[k] = exc
 
@@ -350,20 +355,17 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
             raise exc
     table = counts.sum(axis=0)
 
-    sz_rounds = np.flatnonzero(cells < 4)
-    abort = None
-    test_rounds = np.empty(0, dtype=np.int64)
+    sz_cells = np.concatenate([part for parts in sift_z for part in parts])  # in round order
+    abort = key_alice = key_bob = None
     test_error = math.nan
-    key_alice = key_bob = None
-    if sz_rounds.size < 2 * n:
+    if sz_cells.size < 2 * n:
         abort = ABORT_TOO_FEW_SIFT_Z
     else:
-        picked = np.zeros(sz_rounds.size, dtype=bool)  # the test rounds among sz_rounds
+        picked = np.zeros(sz_cells.size, dtype=bool)  # the test rounds among the SIFT-Z cells
         # the generator continues where the draw of the last round left the stream
         rng = np.random.Generator(np.random.Philox(cfg.seed).advance(n_rounds))
-        picked[rng.choice(sz_rounds.size, size=n, replace=False)] = True
-        test_rounds = sz_rounds[picked]
-        test_cells = cells[test_rounds]
+        picked[rng.choice(sz_cells.size, size=n, replace=False)] = True
+        test_cells = np.compress(picked, sz_cells)
         test_error = int(np.count_nonzero((test_cells & 1) != (test_cells >> 1))) / n
         n_cx = _CLASS[5] @ table  # the p_e_minus rows: the CTRL-X rounds and their - outcomes
         if n_cx and _COUNTED[5] @ table / n_cx > cfg.p_t:
@@ -371,15 +373,13 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
         elif test_error > cfg.p_t:
             abort = ABORT_TEST_BIT_NOISE
         else:
-            key_cells = cells[sz_rounds[~picked][:n]]
-            key_alice = key_cells & 1
-            key_bob = key_cells >> 1
+            key_cells = np.compress(~picked, sz_cells)[:n]
+            key_alice, key_bob = key_cells & 1, key_cells >> 1
 
     return ProtocolTranscript(
         cells=cells,
         table=table,
         test_bit_error_rate=test_error,
-        test_rounds=test_rounds,
         raw_key_alice=key_alice,
         raw_key_bob=key_bob,
         abort_reason=abort,

@@ -20,6 +20,7 @@ from sqkd.fileio import ParseError
 from sqkd.keyrate import (
     COARSE_STEP,
     _lambda,
+    _libm,
     depolarizing_bound,
     depolarizing_stats,
     format_report,
@@ -259,6 +260,16 @@ def test_kernel_gives_the_scalar_formula_bit_for_bit():
                 assert math.isnan(value), stats
             else:
                 assert _same_bits(value, want[name]), (name, stats)
+
+
+def test_libm_maps_every_element_bit_for_bit():
+    x = np.random.default_rng(17).uniform(1e-3, 9.0, (7, 12))
+    for arr in (x.T, x.ravel()[::-3], np.array(0.3), np.array(5e-324), np.empty((3, 0))):
+        for fn, args, sign in ((math.log2, (), 1.0), (pow, (2,), -1.0)):
+            got = _libm(fn, sign * arr, *args)
+            want = [fn(v, *args) for v in (sign * arr).ravel().tolist()]
+            assert got.shape == arr.shape
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def test_batch_matches_one_at_a_time_bit_for_bit():

@@ -24,6 +24,7 @@ from sqkd.protocol import (
     ProtocolConfig,
     _ROW_SUFFIX,
     _rows,
+    _thresholds,
     run_protocol,
 )
 from sqkd.fileio import fmt
@@ -63,6 +64,30 @@ def test_round_count_rounds_up():
 # ---------------------------------------------------------------- protocol
 
 
+def reference_split(tr, cfg):
+    """The test-bit error rate and both raw keys of ``tr``, rebuilt from its
+    cells alone: the SIFT-Z rounds are the positions of cells 0-3, the test
+    rounds n of them chosen by the generator advanced past the last round,
+    and the keys the first n SIFT-Z rounds not chosen."""
+    sz_rounds = np.flatnonzero(tr.cells < 4)
+    if sz_rounds.size < 2 * cfg.n:
+        return math.nan, None, None
+    picked = np.zeros(sz_rounds.size, dtype=bool)
+    rng = np.random.Generator(np.random.Philox(cfg.seed).advance(cfg.n_rounds))
+    picked[rng.choice(sz_rounds.size, size=cfg.n, replace=False)] = True
+    test, key = tr.cells[sz_rounds[picked]], tr.cells[sz_rounds[~picked][:cfg.n]]
+    return np.count_nonzero(test & 1 != test >> 1) / cfg.n, key & 1, key >> 1
+
+
+def assert_split_matches_the_reference(tr, cfg):
+    error, alice, bob = reference_split(tr, cfg)
+    assert tr.test_bit_error_rate == error or math.isnan(tr.test_bit_error_rate) and math.isnan(error)
+    if tr.abort_reason is None:
+        assert np.array_equal(tr.raw_key_alice, alice) and np.array_equal(tr.raw_key_bob, bob)
+    else:
+        assert tr.raw_key_alice is None and tr.raw_key_bob is None
+
+
 def test_noiseless_run_gives_identical_keys():
     cfg = ProtocolConfig(n=1000, seed=3, p_t=0.05)
     tr = run_protocol(cfg, IDENTITY)
@@ -79,8 +104,9 @@ def test_runs_are_deterministic():
     a = run_protocol(cfg, atk)
     b = run_protocol(cfg, atk)
     assert np.array_equal(a.cells, b.cells)
-    assert np.array_equal(a.test_rounds, b.test_rounds)
+    assert a.test_bit_error_rate == b.test_bit_error_rate
     assert np.array_equal(a.raw_key_alice, b.raw_key_alice)
+    assert_split_matches_the_reference(a, cfg)
     for x, y in zip(a.estimates(), b.estimates()):
         assert np.array_equal(x, y)
 
@@ -116,6 +142,7 @@ def test_too_few_sift_z_aborts_first():
     tr = run_protocol(ProtocolConfig(n=100, seed=8, p_sift=0.01), depolarizing_attack(0.0, 0.9))
     assert tr.abort_reason == ABORT_TOO_FEW_SIFT_Z
     assert tr.test_bit_error_rate != tr.test_bit_error_rate  # NaN: step never ran
+    assert_split_matches_the_reference(tr, ProtocolConfig(n=100, seed=8, p_sift=0.01))
 
 
 def test_no_abort_for_noiseless_channel_at_any_threshold():
@@ -137,10 +164,12 @@ def test_key_disagreement_matches_error_probability():
 
 def test_bit_flip_attack_flips_every_key_bit():
     atk = RestrictedAttack(0.0, e00=[0.0], e01=[1.0], e10=[1.0], e11=[0.0])  # bit flip
-    tr = run_protocol(ProtocolConfig(n=50, seed=2, p_t=0.49), atk)
+    cfg = ProtocolConfig(n=50, seed=2, p_t=0.49)
+    tr = run_protocol(cfg, atk)
     # every sifted Z round disagrees, so the test-bit check must fire
     assert tr.abort_reason == ABORT_TEST_BIT_NOISE
     assert tr.test_bit_error_rate == 1.0
+    assert_split_matches_the_reference(tr, cfg)
 
 
 def round_law(u, b, p_sift=0.5, p_z=0.5):
@@ -173,6 +202,52 @@ def test_rounds_follow_the_round_law_of_a_dense_unitary(d, b, seed):
         m, second = int(tr.table[2 * branch:2 * branch + 2].sum()), int(tr.table[2 * branch + 1])
         assert abs(m - tr.n_rounds * p_branch) <= oracle.count_tolerance(tr.n_rounds, p_branch), branch
         assert abs(second - m * (1.0 - p_first)) <= oracle.count_tolerance(m, 1.0 - p_first), branch
+
+
+# the random p are off the grid of 2**-53 that Generator.random's doubles lie on
+@pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0,
+                               *(np.random.default_rng(71).random(4) / 3).tolist()])
+def test_integer_thresholds_decide_as_the_doubles_do(p):
+    # Generator.random's double is k * 2**-53 for the top 53 bits k of a word
+    t = int(_thresholds(p))
+    assert t == math.ceil(p * 2**53) and _thresholds([p, p]).tolist() == [t, t]
+    for k in range(max(t - 2, 0), t + 3):
+        assert (np.uint64(k) >= _thresholds(p)) == (k * 2.0**-53 >= p), k
+        assert (np.uint64(k) < _thresholds(p)) == (k * 2.0**-53 < p), k
+
+
+@pytest.mark.parametrize("start", [0, 1, 123_457])
+def test_raw_words_give_the_doubles_of_generator_random(start):
+    words = np.random.Philox(29).advance(start).random_raw(4 * 1000)
+    doubles = np.random.Generator(np.random.Philox(29).advance(start)).random(4 * 1000)
+    assert np.array_equal((words >> 11) * 2.0**-53, doubles)
+
+
+def reference_fill(seed, start, stop, cuts, first_cell, p_first, cells, counts, sift_z):
+    """``_fill`` as it drew before integer thresholds: Generator.random's
+    doubles compared with the probabilities themselves."""
+    p_sift, p_z, bit_cut = cuts
+    u = np.random.Generator(np.random.Philox(seed).advance(start)).random((stop - start, 4))
+    packed = 4 * (u[:, 0] < p_sift) + 2 * (u[:, 1] >= p_z) + (u[:, 2] >= bit_cut)
+    block = first_cell[packed] + (u[:, 3] >= p_first[packed])
+    cells[start:stop] = block
+    counts += np.bincount(block, minlength=12)
+    sift_z.append(block[block < 4])
+
+
+# b = +-1/2 puts the bit cut at 1 or 0, and the identity attack puts
+# first-outcome probabilities at 0 and 1
+@pytest.mark.parametrize("b, q", [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.0), (0.5, 0.1), (-0.5, 0.1)])
+def test_integer_draws_match_a_reference_that_draws_doubles(monkeypatch, b, q):
+    monkeypatch.setattr(sqkd.protocol, "SPAN", 1)
+    monkeypatch.setattr(sqkd.protocol, "CORES", 2)
+    cfg, atk = ProtocolConfig(n=2000, seed=43, p_t=0.3), depolarizing_attack(b, q)
+    tr = run_protocol(cfg, atk)
+    monkeypatch.setattr(sqkd.protocol, "_fill", reference_fill)
+    ref = run_protocol(cfg, atk)
+    assert np.array_equal(tr.cells, ref.cells) and np.array_equal(tr.table, ref.table)
+    assert tr.abort_reason == ref.abort_reason and tr.test_bit_error_rate == ref.test_bit_error_rate
+    assert_split_matches_the_reference(tr, cfg)
 
 
 # ---------------------------------------------------------------- estimates
@@ -287,8 +362,8 @@ def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chu
             assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
         assert [tr.abort_reason for tr in transcripts] == [ABORT_CTRL_X_NOISE, None, None, None][:len(runs)]
         single = single or transcripts
-        for tr, one in zip(transcripts, single):
-            assert np.array_equal(tr.test_rounds, one.test_rounds)
+        for (cfg, _, _), tr, one in zip(runs, transcripts, single):
+            assert_split_matches_the_reference(tr, ProtocolConfig(**cfg))
             assert np.array_equal(tr.raw_key_alice, one.raw_key_alice)
             assert np.array_equal(tr.raw_key_bob, one.raw_key_bob)
             assert tr.test_bit_error_rate == one.test_bit_error_rate
