@@ -274,8 +274,8 @@ def _rows(start: int, cells: np.ndarray) -> bytes:
 
 
 def _thresholds(p) -> np.ndarray:
-    """ceil(p * 2**53) as uint64 for p in [0, 1]: the double k * 2**-53 that
-    ``Generator.random`` makes of a word w, k = w >> 11, is >= p exactly when k is."""
+    """ceil(p * 2**53) as uint64 for p in [0, 1]: ``Generator.random`` reads a
+    word w as k * 2**-53, k = w >> 11, which is >= p exactly when k >= ceil(p * 2**53)."""
     return np.ceil(np.multiply(p, 2.0**53)).astype(np.uint64)
 
 

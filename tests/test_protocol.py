@@ -139,10 +139,11 @@ def test_noisy_channel_aborts():
 
 def test_too_few_sift_z_aborts_first():
     # with p_sift this small the sifted count cannot reach 2n
-    tr = run_protocol(ProtocolConfig(n=100, seed=8, p_sift=0.01), depolarizing_attack(0.0, 0.9))
+    cfg = ProtocolConfig(n=100, seed=8, p_sift=0.01)
+    tr = run_protocol(cfg, depolarizing_attack(0.0, 0.9))
     assert tr.abort_reason == ABORT_TOO_FEW_SIFT_Z
     assert tr.test_bit_error_rate != tr.test_bit_error_rate  # NaN: step never ran
-    assert_split_matches_the_reference(tr, ProtocolConfig(n=100, seed=8, p_sift=0.01))
+    assert_split_matches_the_reference(tr, cfg)
 
 
 def test_no_abort_for_noiseless_channel_at_any_threshold():
@@ -223,13 +224,18 @@ def test_raw_words_give_the_doubles_of_generator_random(start):
     assert np.array_equal((words >> 11) * 2.0**-53, doubles)
 
 
-def reference_fill(seed, start, stop, cuts, first_cell, p_first, cells, counts, sift_z):
-    """``_fill`` as it drew before integer thresholds: Generator.random's
-    doubles compared with the probabilities themselves."""
+def classify(u, cuts, first_cell, p_first):
+    """The cell codes of rounds whose four uniforms are the rows of ``u``,
+    from the doubles compared with the probabilities themselves."""
     p_sift, p_z, bit_cut = cuts
-    u = np.random.Generator(np.random.Philox(seed).advance(start)).random((stop - start, 4))
     packed = 4 * (u[:, 0] < p_sift) + 2 * (u[:, 1] >= p_z) + (u[:, 2] >= bit_cut)
-    block = first_cell[packed] + (u[:, 3] >= p_first[packed])
+    return first_cell[packed] + (u[:, 3] >= p_first[packed])
+
+
+def reference_fill(seed, start, stop, cuts, first_cell, p_first, cells, counts, sift_z):
+    """``_fill`` as it drew before integer thresholds, with Generator.random's doubles."""
+    u = np.random.Generator(np.random.Philox(seed).advance(start)).random((stop - start, 4))
+    block = classify(u, cuts, first_cell, p_first)
     cells[start:stop] = block
     counts += np.bincount(block, minlength=12)
     sift_z.append(block[block < 4])
@@ -248,6 +254,35 @@ def test_integer_draws_match_a_reference_that_draws_doubles(monkeypatch, b, q):
     assert np.array_equal(tr.cells, ref.cells) and np.array_equal(tr.table, ref.table)
     assert tr.abort_reason == ref.abort_reason and tr.test_bit_error_rate == ref.test_bit_error_rate
     assert_split_matches_the_reference(tr, cfg)
+
+
+@pytest.mark.parametrize("cuts", [(1 / 3, 0.7, 0.45), (2.0**-53, 1 - 2.0**-53, 0.0), (0.5, 0.5, 1.0)])
+def test_words_at_the_thresholds_decide_as_the_doubles(monkeypatch, cuts):
+    # the top 53 bits of each word sit at a threshold or next to it, and the
+    # eleven low bits, which the draw drops, are all set
+    p_first = np.array([1.0, 0.0, 0.1, 2 / 3, 0.5, 1 - 2.0**-53, 0.3, 5e-324])
+    near = [sorted({min(max(int(t) + d, 0), 2**53 - 1) for t in _thresholds(ps) for d in (-1, 0, 1)})
+            for ps in ([cuts[0]], [cuts[1]], [cuts[2]], p_first)]
+    k = np.array(np.meshgrid(*near, indexing="ij"), dtype=np.uint64).reshape(4, -1).T
+    words = (k << np.uint64(11) | np.uint64(0x7FF)).ravel()
+
+    class Words:
+        def advance(self, start):
+            self.next = 4 * start
+            return self
+
+        def random_raw(self, size):
+            self.next += size
+            return words[self.next - size:self.next].copy()
+
+    monkeypatch.setattr(np.random, "Philox", lambda seed: Words())
+    monkeypatch.setattr(sqkd.protocol, "CHUNK", 100)
+    first_cell = 2 * sqkd.protocol._BRANCH_OF
+    cells, counts, sift_z = np.empty(len(k), dtype=np.int8), np.zeros(12, dtype=np.int64), []
+    sqkd.protocol._fill(0, 0, len(k), cuts, first_cell, p_first, cells, counts, sift_z)
+    want = classify(k * 2.0**-53, cuts, first_cell, p_first)
+    assert np.array_equal(cells, want) and np.array_equal(counts, np.bincount(want, minlength=12))
+    assert np.array_equal(np.concatenate(sift_z), want[want < 4])
 
 
 # ---------------------------------------------------------------- estimates
