@@ -8,7 +8,8 @@ ancilla.  U is fully described by four ancilla fragments via
 
 with the unitarity constraints <e00|e10> + <e01|e11> = 0 and
 <e00|e00> + <e01|e01> = <e10|e10> + <e11|e11> = 1.  The fragments determine
-every probability the legitimate users can observe.
+the law of a round, ``cell_probabilities``, and so every probability the
+legitimate users can observe and every round the simulator draws.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class RestrictedAttack:
     def beta(self) -> float:
         """Amplitude sqrt(1/2-b) of |1> in the injected state."""
         return math.sqrt(0.5 - self.bias)
-
-    def g_minus(self) -> np.ndarray:
-        """Eve's (sub-normalized) fragment when Alice sees - on a reflected round."""
-        return (self.alpha * (self.e00 - self.e01) + self.beta * (self.e10 - self.e11)) / math.sqrt(2.0)
 
 
 def _check_noise(q: float) -> float:
@@ -189,29 +186,38 @@ class Statistics:
             object.__setattr__(self, name, row)
 
 
-def compute_statistics(attack: RestrictedAttack) -> Statistics:
-    """Exact observable statistics of an attack, as one point.
-
-    Raw-key probabilities are P(a, b) = (weight of bob bit b) * |e_{b a}|^2;
-    the X-round statistics follow from the real parts of the fragment
-    overlaps.
+def cell_probabilities(attack: RestrictedAttack) -> np.ndarray:
+    """The law of a round: the probability of each of the 12 cells given its
+    branch, in cell-code order (see ``sqkd.protocol``).  For Bob's bit j, Alice
+    first sees 0 with |e_j0|^2 on SIFT-Z and + with 1/2 + Re<e_j0|e_j1> on
+    SIFT-X; she sees 0 with |alpha e00 + beta e10|^2 on CTRL-Z and - with
+    |g_-|^2, g_- = (alpha (e00 - e01) + beta (e10 - e11)) / sqrt(2), on CTRL-X.
     """
-    a2 = 0.5 + attack.bias
-    b2 = 0.5 - attack.bias
-    n00 = float(np.vdot(attack.e00, attack.e00).real)
-    n01 = float(np.vdot(attack.e01, attack.e01).real)
-    n10 = float(np.vdot(attack.e10, attack.e10).real)
-    n11 = float(np.vdot(attack.e11, attack.e11).real)
-    gm = attack.g_minus()
+    e00, e01, e10, e11 = attack.e00, attack.e01, attack.e10, attack.e11
+    x0, x1 = np.vdot(e00, e01).real, np.vdot(e10, e11).real
+    reflected = attack.alpha * e00 + attack.beta * e10  # qubit collapses to 0
+    g_minus = (attack.alpha * (e00 - e01) + attack.beta * (e10 - e11)) / math.sqrt(2.0)
+    z0, minus = np.vdot(reflected, reflected).real, np.vdot(g_minus, g_minus).real
+    return np.array([
+        np.vdot(e00, e00).real, np.vdot(e01, e01).real, np.vdot(e10, e10).real, np.vdot(e11, e11).real,
+        0.5 + x0, 0.5 - x0, 0.5 + x1, 0.5 - x1, z0, 1.0 - z0, 1.0 - minus, minus,
+    ])
+
+
+def compute_statistics(attack: RestrictedAttack) -> Statistics:
+    """Exact observable statistics of an attack, as one point: its SIFT cell
+    probabilities weighted by Bob's bit, 1/2 ± b, and its CTRL-X - cell."""
+    a2, b2 = 0.5 + attack.bias, 0.5 - attack.bias
+    c = cell_probabilities(attack)
     return Statistics(
         bias=attack.bias,
-        p00=a2 * n00,
-        p01=b2 * n10,
-        p10=a2 * n01,
-        p11=b2 * n11,
-        p_e_minus=float(np.vdot(gm, gm).real),
-        p0_plus=a2 * (0.5 + float(np.vdot(attack.e00, attack.e01).real)),
-        p1_plus=b2 * (0.5 + float(np.vdot(attack.e10, attack.e11).real)),
+        p00=a2 * c[0],
+        p01=b2 * c[2],
+        p10=a2 * c[1],
+        p11=b2 * c[3],
+        p_e_minus=c[11],
+        p0_plus=a2 * c[4],
+        p1_plus=b2 * c[6],
     )
 
 

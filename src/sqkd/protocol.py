@@ -3,15 +3,15 @@
 Each round Alice sends |+>, Bob either measures in Z and resends his result
 (SIFT) or reflects the state untouched (CTRL), and Alice measures the
 returning state in Z or X.  Under a collective attack the rounds are i.i.d.,
-so every round is sampled from its exact outcome distribution instead of
-tracking a global state.  Round i consumes the i-th four words of one Philox
-stream, each compared by its top 53 bits with an integer threshold that
-decides as ``Generator.random``'s double of the word would.  One counter step
-gives four words, so a generator jumped to step i with ``Philox.advance(i)``
-draws round i as the one stream would.  A run is therefore cut into up to
-eight spans of contiguous rounds, each drawn by its own generator on its own
-thread of this process, CHUNK rounds at a time, so transcripts are
-reproducible whatever the block size and the number of spans.
+so every round is drawn from the law of a round, ``cell_probabilities``,
+instead of tracking a global state.  Round i consumes the i-th four words of
+one Philox stream, each compared by its top 53 bits with an integer threshold
+that decides as ``Generator.random``'s double of the word would.  One counter
+step gives four words, so a generator jumped to step i with
+``Philox.advance(i)`` draws round i as the one stream would.  A run is
+therefore cut into up to eight spans of contiguous rounds, each drawn by its
+own generator on its own thread of this process, CHUNK rounds at a time, so
+transcripts are reproducible whatever the block size and the number of spans.
 
 A round is stored as one int8 cell code, ``2 * branch + second``.  The branch
 (see ``_BRANCHES``) fixes Bob's choice, Alice's basis and, on SIFT rounds,
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .attacks import STAT_FIELDS, RestrictedAttack
+from .attacks import STAT_FIELDS, RestrictedAttack, cell_probabilities
 
 SIFT = "SIFT"
 CTRL = "CTRL"
@@ -125,6 +125,18 @@ _CLASS = np.array([
 ])
 
 
+def _estimates(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The estimates and standard errors of the 12 cell counts ``table``: each
+    estimate is the share of its counted cells in its conditioning class, NaN
+    for an empty class rather than a fabricated value."""
+    m = _CLASS @ table
+    with np.errstate(invalid="ignore", divide="ignore"):
+        value = _COUNTED @ table / m
+        se = np.sqrt(value * (1.0 - value) / m)
+    value[0] -= 0.5  # the bias is the share of Bob's bit 0, less 1/2
+    return value, se
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters; the number of rounds is ceil(8 n (1 + delta))."""
@@ -201,18 +213,9 @@ class ProtocolTranscript:
 
     def estimates(self) -> tuple[np.ndarray, np.ndarray]:
         """Frequency estimates of the observable statistics and their binomial
-        standard errors, two float64 arrays in STAT_FIELDS order.
-
-        Each estimate is the share of its counted cells in its conditioning
-        class (see ``_COUNTED`` and ``_CLASS``); an empty class gives NaN
-        rather than a fabricated value.
-        """
-        m = _CLASS @ self.table
-        with np.errstate(invalid="ignore", divide="ignore"):
-            value = _COUNTED @ self.table / m
-            se = np.sqrt(value * (1.0 - value) / m)
-        value[0] -= 0.5  # the bias is the share of Bob's bit 0, less 1/2
-        return value, se
+        standard errors, two float64 arrays in STAT_FIELDS order, NaN for an
+        empty conditioning class (see ``_estimates``)."""
+        return _estimates(self.table)
 
     def summary_lines(self) -> list[str]:
         """Key-value summary: counts, error rates, abort and the estimates."""
@@ -313,17 +316,7 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     n, n_rounds = cfg.n, cfg.n_rounds
 
     # probability of the first outcome (0 for Z, + for X) on each branch
-    e00, e01, e10, e11 = attack.e00, attack.e01, attack.e10, attack.e11
-    gm = attack.g_minus()
-    reflected = attack.alpha * e00 + attack.beta * e10  # qubit collapses to 0
-    p_first = np.clip([
-        np.vdot(e00, e00).real,
-        np.vdot(e10, e10).real,
-        0.5 + np.vdot(e00, e01).real,
-        0.5 + np.vdot(e10, e11).real,
-        np.vdot(reflected, reflected).real,
-        1.0 - np.vdot(gm, gm).real,
-    ], 0.0, 1.0)
+    p_first = np.clip(cell_probabilities(attack)[0::2], 0.0, 1.0)
 
     # spans 1 ... w-1 run on threads, span 0 on this one; a run too short for
     # two spans, or a single core, starts no thread
@@ -367,8 +360,8 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
         picked[rng.choice(sz_cells.size, size=n, replace=False)] = True
         test_cells = np.compress(picked, sz_cells)
         test_error = int(np.count_nonzero((test_cells & 1) != (test_cells >> 1))) / n
-        n_cx = _CLASS[5] @ table  # the p_e_minus rows: the CTRL-X rounds and their - outcomes
-        if n_cx and _COUNTED[5] @ table / n_cx > cfg.p_t:
+        # the CTRL-X error rate is the p_e_minus estimate; NaN, for no CTRL-X round, never aborts
+        if _estimates(table)[0][5] > cfg.p_t:
             abort = ABORT_CTRL_X_NOISE
         elif test_error > cfg.p_t:
             abort = ABORT_TEST_BIT_NOISE

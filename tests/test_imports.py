@@ -93,3 +93,27 @@ def test_every_public_method_in_src_has_a_caller():
                for method in public_methods(tree)]
     assert len(methods) > 10
     assert [method for method in methods if method[2] not in read] == []
+
+
+def functions_calling(tree, attr):
+    """The name of the innermost function around each use of ``np.<attr>``, None at module level."""
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def test_fragment_overlaps_are_taken_only_by_the_round_law():
+    # the physics of a round lives in one function; the unitarity check of an
+    # attack is the only other reader of the fragments' inner products
+    paths = sorted((ROOT / "src" / "sqkd").glob("*.py"))
+    owners = {(path.stem, owner) for path in paths
+              for owner in functions_calling(ast.parse(path.read_text(encoding="utf-8")), "vdot")}
+    assert owners == {("attacks", "attack_deviations"), ("attacks", "cell_probabilities")}

@@ -12,7 +12,14 @@ import pytest
 
 import oracle
 import sqkd.protocol
-from sqkd.attacks import STAT_FIELDS, RestrictedAttack, Statistics, compute_statistics, depolarizing_attack
+from sqkd.attacks import (
+    STAT_FIELDS,
+    RestrictedAttack,
+    Statistics,
+    cell_probabilities,
+    compute_statistics,
+    depolarizing_attack,
+)
 from sqkd.protocol import (
     ABORT_CTRL_X_NOISE,
     ABORT_TEST_BIT_NOISE,
@@ -86,6 +93,42 @@ def assert_split_matches_the_reference(tr, cfg):
         assert np.array_equal(tr.raw_key_alice, alice) and np.array_equal(tr.raw_key_bob, bob)
     else:
         assert tr.raw_key_alice is None and tr.raw_key_bob is None
+
+
+def fill_with(crafted):
+    """A ``_fill`` that writes the cells ``crafted`` in place of drawn rounds."""
+
+    def fill(seed, start, stop, cuts, first_cell, p_first, cells, counts, sift_z):
+        block = crafted[start:stop]
+        cells[start:stop] = block
+        counts += np.bincount(block, minlength=12)
+        sift_z.append(block[block < 4])
+
+    return fill
+
+
+# 300 rounds: 200 SIFT-Z rounds of two cells, where (0, 3) agree and (1, 2)
+# disagree, then `ctrl_x` CTRL-X rounds of which `minus` saw -, then CTRL-Z
+@pytest.mark.parametrize("sift_z, ctrl_x, minus, abort", [
+    ((0, 3), 100, 10, None),  # 10 / 100 is the double 0.1 = p_t, and the check is strict
+    ((0, 3), 100, 11, ABORT_CTRL_X_NOISE),
+    ((1, 2), 100, 11, ABORT_CTRL_X_NOISE),  # checked before the test bits
+    ((1, 2), 0, 0, ABORT_TEST_BIT_NOISE),  # no CTRL-X round: NaN does not abort
+    ((0, 3), 0, 0, None),
+], ids=["at p_t", "one more -", "one more - and test-bit noise", "no CTRL-X and test-bit noise", "no CTRL-X"])
+def test_the_ctrl_x_rate_aborts_only_above_the_threshold(monkeypatch, sift_z, ctrl_x, minus, abort):
+    cfg = ProtocolConfig(n=30, seed=6, p_t=0.1)
+    crafted = np.array([*sift_z] * 100 + [11] * minus + [10] * (ctrl_x - minus), dtype=np.int8)
+    crafted = np.concatenate([crafted, np.full(cfg.n_rounds - crafted.size, 8, dtype=np.int8)])
+    monkeypatch.setattr(sqkd.protocol, "_fill", fill_with(crafted))
+    tr = run_protocol(cfg, IDENTITY)
+    assert np.array_equal(tr.cells, crafted) and tr.ctrl_x_count == ctrl_x
+    assert tr.abort_reason == abort
+    assert tr.test_bit_error_rate == (1.0 if sift_z == (1, 2) else 0.0)
+    rate = tr.estimates()[0][P_E_MINUS]
+    assert rate == minus / ctrl_x if ctrl_x else math.isnan(rate)
+    assert f"ctrl_x_error_rate={fmt(rate) if ctrl_x else 'none'}" in tr.summary_lines()
+    assert_split_matches_the_reference(tr, cfg)
 
 
 def test_noiseless_run_gives_identical_keys():
@@ -203,6 +246,31 @@ def test_rounds_follow_the_round_law_of_a_dense_unitary(d, b, seed):
         m, second = int(tr.table[2 * branch:2 * branch + 2].sum()), int(tr.table[2 * branch + 1])
         assert abs(m - tr.n_rounds * p_branch) <= oracle.count_tolerance(tr.n_rounds, p_branch), branch
         assert abs(second - m * (1.0 - p_first)) <= oracle.count_tolerance(m, 1.0 - p_first), branch
+
+
+def test_cell_probabilities_are_the_round_law_of_a_dense_unitary():
+    # exact where the test above samples: the first outcome of each branch
+    # from dense matrices, for 1000 Haar and 1000 near-identity attacks, and
+    # the statistics as the joint probabilities of Bob's bit and that outcome
+    rng = np.random.default_rng(63)
+    for k in range(2000):
+        d = 1 + k % 4
+        b = float(rng.uniform(-0.5, 0.5))
+        if k < 1000:
+            u = oracle.haar_unitary(2 * d, rng)
+        else:
+            u = oracle.near_identity_unitary(2 * d, float(10.0 ** rng.uniform(-3.0, math.log10(0.3))), rng)
+        atk = RestrictedAttack(b, **oracle.fragments(u))
+        c = cell_probabilities(atk)
+        law = round_law(u, b, p_sift=1.0, p_z=1.0)  # SIFT-Z branches weigh Bob's bit
+        first = [p_first for _, p_first in law]
+        assert c.shape == (12,)
+        assert np.abs(c[0::2] - first).max() <= 1e-12, (k, b)
+        assert np.abs(c[0::2] + c[1::2] - 1.0).max() <= 1e-12, (k, b)
+        (w0, f0), (w1, f1) = law[:2]
+        want = [b, w0 * f0, w1 * f1, w0 * (1 - f0), w1 * (1 - f1), 1 - first[5], w0 * first[2], w1 * first[3]]
+        got = compute_statistics(atk)
+        assert np.abs([getattr(got, name)[0] for name in STAT_FIELDS] - np.array(want)).max() <= 1e-12, (k, b)
 
 
 # the random p are off the grid of 2**-53 that Generator.random's doubles lie on
