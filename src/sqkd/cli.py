@@ -1,5 +1,7 @@
 """Command line front end: bound, sweep, threshold, simulate, validate.
 
+Each command returns its exit code and its output as (key, value) pairs;
+``main`` renders them once as ``key=value`` lines (``fileio.kv_text``).
 Exit codes: 0 on success, 1 on input errors, 2 when the computed quantity
 signals a protocol abort (or an attack file fails validation), and 141
 (128 + SIGPIPE) with nothing on stderr when the reader of stdout stops early.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attacks, keyrate, protocol
-from .fileio import csv_rows, fmt
+from .fileio import csv_rows, kv_text
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -110,14 +112,12 @@ def _statistics_from_args(args) -> attacks.Statistics:
     return keyrate.depolarizing_stats(args.b, args.q)
 
 
-def cmd_bound(args) -> int:
-    stats = _statistics_from_args(args)
-    report = keyrate.key_rate_bound(stats)
-    print(keyrate.format_report(report))
-    return EXIT_ABORT if report.abort[0] else EXIT_OK
+def cmd_bound(args) -> tuple[int, list]:
+    report = keyrate.key_rate_bound(_statistics_from_args(args))
+    return (EXIT_ABORT if report.abort[0] else EXIT_OK), keyrate.report_items(report)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, list]:
     spec = SweepSpec(
         variable=args.var, fixed_value=args.fixed,
         start=args.start, stop=args.stop, step=args.step,
@@ -128,39 +128,34 @@ def cmd_sweep(args) -> int:
         fh.write(b"x,f\n")
         for x in spec.chunks():
             fh.write(csv_rows(x, keyrate.key_rate_bound(spec.statistics(x)).bound))
-    print(f"rows={spec.grid_size()}")
-    print(f"out={spec.output_path}")
-    return EXIT_OK
+    return EXIT_OK, [("rows", spec.grid_size()), ("out", spec.output_path)]
 
 
 def _parse_fix(text: str) -> tuple[str, float]:
     name, sep, value = text.partition("=")
     name = name.strip()
-    if not sep or name not in ("b", "q"):
-        raise ValueError(f"--fix expects b=<real> or q=<real>, got {text!r}")
-    return name, float(value)
+    with contextlib.suppress(ValueError):  # a bad number gets the message of a bad name
+        if sep and name in ("b", "q"):
+            return name, float(value)
+    raise ValueError(f"--fix expects b=<real> or q=<real>, got {text!r}")
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> tuple[int, list]:
     name, value = _parse_fix(args.fix)
     if name == "b":
         q_star = keyrate.threshold_q(value, args.tol)
-        if q_star is None:
-            print("q_star=none")
-        else:
-            print(f"q_star={fmt(q_star)}")
-            print(f"Q_Z_star={fmt(q_star / 2.0)}")
+        items = [("q_star", q_star)]
+        if q_star is not None:
+            items.append(("Q_Z_star", q_star / 2.0))
     else:
         b_star = keyrate.threshold_b(value, args.tol)
-        if b_star is None:
-            print("b_star=none")
-        else:
-            print(f"b_star={fmt(b_star)}")
-            print(f"Q_X_star={fmt(keyrate.x_error_from_bias(b_star))}")
-    return EXIT_OK
+        items = [("b_star", b_star)]
+        if b_star is not None:
+            items.append(("Q_X_star", keyrate.x_error_from_bias(b_star)))
+    return EXIT_OK, items
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, list]:
     has_channel = args.q is not None or args.b is not None
     if (args.attack is not None) == has_channel:
         raise ValueError("provide either --q and --b or --attack")
@@ -180,38 +175,33 @@ def cmd_simulate(args) -> int:
         transcript = protocol.run_protocol(cfg, attack)
         if args.export is not None:
             transcript.to_csv(args.export)
-    for line in transcript.summary_lines():
-        print(line)
+    items = transcript.summary_items()
     estimate, _ = transcript.estimates()
     if np.isnan(estimate).any():
-        print("bound=none")
+        items.append(("bound", None))
     else:
         try:
             report = keyrate.key_rate_bound(attacks.Statistics(*estimate))
         except ValueError as exc:
-            print("bound=none")
-            print(f"bound_error={exc}")
+            items += [("bound", None), ("bound_error", exc)]
         else:
-            # prefix the report keys so they cannot collide with the
-            # transcript summary (both carry an abort field)
-            for line in keyrate.format_report(report).splitlines():
-                key, _, value = line.partition("=")
-                print(line if key == "bound" else f"bound_{key}={value}")
-    return EXIT_ABORT if transcript.abort_reason else EXIT_OK
+            # prefixed, since the transcript summary has an abort key too
+            items += [(key if key == "bound" else f"bound_{key}", value)
+                      for key, value in keyrate.report_items(report)]
+    return (EXIT_ABORT if transcript.abort_reason else EXIT_OK), items
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[int, list]:
     bias, vectors = attacks.parse_attack_file(args.attack)
     dev = attacks.attack_deviations(**vectors)
     worst = max(dev.values())
-    print(f"b={fmt(bias)}")
-    print(f"orthogonality_deviation={fmt(dev['orthogonality'])}")
-    print(f"norm0_deviation={fmt(dev['norm0'])}")
-    print(f"norm1_deviation={fmt(dev['norm1'])}")
-    print(f"max_deviation={fmt(worst)}")
     ok = worst <= attacks.ATOL
-    print(f"status={'pass' if ok else 'fail'}")
-    return EXIT_OK if ok else EXIT_ABORT
+    return (EXIT_OK if ok else EXIT_ABORT), [
+        ("b", bias),
+        *((f"{name}_deviation", value) for name, value in dev.items()),
+        ("max_deviation", worst),
+        ("status", "pass" if ok else "fail"),
+    ]
 
 
 @functools.cache
@@ -271,7 +261,8 @@ def main(argv=None) -> int:
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        code = args.func(args)
+        code, items = args.func(args)
+        sys.stdout.write(kv_text(items))
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -1,4 +1,4 @@
-"""Text formats: ``key=value`` input files, and numbers as ``fmt`` prints them.
+"""Text formats: ``key=value`` lines in and out, and numbers as ``fmt`` prints them.
 
 ``csv_rows`` renders columns with numpy, byte for byte as ``fmt``: each value's
 12 digits go into a fixed-width record, a mask per layout keeps the bytes that
@@ -25,6 +25,19 @@ class ParseError(ValueError):
 def fmt(x: float) -> str:
     """Format a float with 12 significant digits and a lowercase exponent."""
     return format(float(x), ".12g")
+
+
+def kv_text(items) -> str:
+    """``key=value`` lines of (key, value) pairs: None and NaN as ``none``,
+    booleans as ``true``/``false``, other floats as ``fmt``, the rest as ``str``."""
+    lines = []
+    for key, value in items:
+        if isinstance(value, (bool, np.bool_)):  # before the numbers: bool is an int
+            value = "true" if value else "false"
+        elif value is None or value != value:
+            value = "none"
+        lines.append(f"{key}={fmt(value) if isinstance(value, float) else value}\n")
+    return "".join(lines)
 
 
 # b"0000" ... b"9999", one 4-byte word each

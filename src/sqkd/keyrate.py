@@ -269,7 +269,7 @@ def threshold_b(q: float, tol: float = 1e-4) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# statistics file and report formatting
+# statistics file and report pairs
 
 _STATS_KEYS = ("b", *STAT_FIELDS[1:])
 
@@ -291,17 +291,15 @@ def load_statistics(path) -> Statistics:
     return Statistics(**kwargs)
 
 
-def format_report(report: KeyRateReport) -> str:
-    """Fixed key-value rendering of a report's point 0, 12 significant digits."""
-    lam = report.lam[0]
-    lines = [
-        f"bound={fileio.fmt(report.bound[0])}",
-        f"B={fileio.fmt(report.B_lower[0])}",
-        f"lambda={'none' if math.isnan(lam) else fileio.fmt(lam)}",
-        f"k0={fileio.fmt(report.k0[0])}",
-        f"k1={fileio.fmt(report.k1[0])}",
-        f"k2={fileio.fmt(report.k2[0])}",
-        f"abort={'true' if report.abort[0] else 'false'}",
-        f"clamped={'true' if report.B_clamped[0] else 'false'}",
+def report_items(report: KeyRateReport) -> list[tuple[str, object]]:
+    """The (key, value) pairs of a report's point 0, as ``fileio.kv_text`` renders them."""
+    return [
+        ("bound", report.bound[0]),
+        ("B", report.B_lower[0]),
+        ("lambda", report.lam[0]),
+        ("k0", report.k0[0]),
+        ("k1", report.k1[0]),
+        ("k2", report.k2[0]),
+        ("abort", report.abort[0]),
+        ("clamped", report.B_clamped[0]),
     ]
-    return "\n".join(lines)

@@ -217,28 +217,24 @@ class ProtocolTranscript:
         empty conditioning class (see ``_estimates``)."""
         return _estimates(self.table)
 
-    def summary_lines(self) -> list[str]:
+    def summary_items(self) -> list[tuple[str, object]]:
         """Key-value summary: counts, error rates, abort and the estimates."""
-
-        def num(x: float) -> str:
-            return "none" if x != x else fileio.fmt(x)
-
         value, se = self.estimates()
-        lines = [
-            f"rounds={self.n_rounds}",
-            f"sift_z_count={self.sift_z_count}",
-            f"sift_x_count={self.sift_x_count}",
-            f"ctrl_z_count={self.ctrl_z_count}",
-            f"ctrl_x_count={self.ctrl_x_count}",
-            f"ctrl_x_error_rate={num(value[5])}",
-            f"test_bit_error_rate={num(self.test_bit_error_rate)}",
-            f"abort={self.abort_reason or 'none'}",
+        items = [
+            ("rounds", self.n_rounds),
+            ("sift_z_count", self.sift_z_count),
+            ("sift_x_count", self.sift_x_count),
+            ("ctrl_z_count", self.ctrl_z_count),
+            ("ctrl_x_count", self.ctrl_x_count),
+            ("ctrl_x_error_rate", value[5]),
+            ("test_bit_error_rate", self.test_bit_error_rate),
+            ("abort", self.abort_reason),
         ]
         for name, v, v_se in zip(STAT_FIELDS, value.tolist(), se.tolist()):
-            lines.append(f"{name}={num(v)}")
+            items.append((name, v))
             if v == v:
-                lines.append(f"{name}_se={fileio.fmt(v_se)}")
-        return lines
+                items.append((f"{name}_se", v_se))
+        return items
 
     def to_csv(self, path) -> None:
         """Write one row per round plus the summary block as '#' comments."""
@@ -246,7 +242,8 @@ class ProtocolTranscript:
             fh.write(f"{TRANSCRIPT_HEADER}\n".encode())
             for start in range(0, self.n_rounds, _BLOCK):
                 fh.write(_rows(start, self.cells[start:start + _BLOCK]))
-            fh.write("".join(f"# {line}\n" for line in self.summary_lines()).encode())
+            summary = fileio.kv_text(self.summary_items())
+            fh.write("".join(f"# {line}\n" for line in summary.splitlines()).encode())
 
 
 def _rows(start: int, cells: np.ndarray) -> bytes:

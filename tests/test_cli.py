@@ -9,7 +9,8 @@ import pytest
 from conftest import random_attack, save_attack, save_statistics
 from sqkd import cli
 from sqkd.attacks import STAT_FIELDS, Statistics, depolarizing_attack
-from sqkd.keyrate import depolarizing_stats, format_report, key_rate_bound, load_statistics
+from sqkd.fileio import kv_text
+from sqkd.keyrate import depolarizing_stats, key_rate_bound, load_statistics, report_items
 
 
 def run_cli(capsys, *argv):
@@ -289,7 +290,7 @@ def test_sweep_csv_is_byte_identical_at_any_chunk_size(capsys, tmp_path, monkeyp
 
 def _bound_line(b, q):
     """The bound=... line `sqkd bound --b B --q Q` prints."""
-    return format_report(key_rate_bound(depolarizing_stats(b, q))).splitlines()[0]
+    return kv_text(report_items(key_rate_bound(depolarizing_stats(b, q)))).splitlines()[0]
 
 
 @pytest.mark.parametrize("n, var, fixed", [(4095, "q", 0.1), (4096, "b", 0.3), (4097, "q", -0.3), (8193, "b", 0.0)])
@@ -400,8 +401,11 @@ def test_threshold_rejects_infinite_tol(capsys):
 
 
 def test_threshold_bad_fix_flag(capsys):
-    code, _, err = run_cli(capsys, "threshold", "--fix", "z=1")
-    assert code == 1 and "--fix" in err
+    # a bad name and a bad number get the same message, which names the flag
+    for fix in ("z=1", "b=abc", "b=", "q=0.1x"):
+        code, out, err = run_cli(capsys, "threshold", "--fix", fix)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"sqkd: error: --fix expects b=<real> or q=<real>, got {fix!r}"]
 
 
 # ---------------------------------------------------------------- simulate
@@ -579,6 +583,34 @@ def test_validate_parse_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", "--attack", str(path))
     assert code == 1
     assert "broken.txt:3" in err
+
+
+# the stdout of threshold, validate and sweep, which BOUND_SHA256 does not
+# cover; {passing}, {scaled} and {out} name files in the test's directory
+OTHER_STDOUT = (
+    (("threshold", "--fix", "b=0"), 0, "q_star=0.1937890625\nQ_Z_star=0.09689453125\n"),
+    (("threshold", "--fix", "b=0.5"), 0, "q_star=none\n"),
+    (("threshold", "--fix", "q=0.1"), 0, "b_star=0.4731640625\nQ_X_star=0.33839625636\n"),
+    (("threshold", "--fix", "q=0"), 0, "b_star=0.5\nQ_X_star=0.5\n"),
+    (("threshold", "--fix", "q=0.5"), 0, "b_star=none\n"),
+    (("validate", "--attack", "{passing}"), 0,
+     "b=0.25\northogonality_deviation=0\nnorm0_deviation=2.00000016548e-10\nnorm1_deviation=0\n"
+     "max_deviation=2.00000016548e-10\nstatus=pass\n"),
+    (("validate", "--attack", "{scaled}"), 2,
+     "b=0\northogonality_deviation=0\nnorm0_deviation=0.21\nnorm1_deviation=0\nmax_deviation=0.21\n"
+     "status=fail\n"),
+    (("sweep", "--var", "q", "--fixed", "0", "--start", "0", "--stop", "0.3", "--step", "0.1",
+      "--out", "{out}"), 0, "rows=4\nout={out}\n"),
+)
+
+
+def test_threshold_validate_and_sweep_stdout_is_pinned(capsys, tmp_path):
+    paths = {"passing": tmp_path / "passing.txt", "scaled": tmp_path / "scaled.txt", "out": tmp_path / "sweep.csv"}
+    paths["passing"].write_text("b=0.25\nd=1\ne00=1.0000000001,0\ne01=0,0\ne10=0,0\ne11=1,0\n")
+    paths["scaled"].write_text("b=0\nd=1\ne00=1.1,0\ne01=0,0\ne10=0,0\ne11=1,0\n")
+    for argv, code, out in OTHER_STDOUT:
+        argv = [arg.format(**paths) for arg in argv]
+        assert run_cli(capsys, *argv) == (code, out.format(**paths), ""), argv
 
 
 # ------------------------------------------------------------------- misc

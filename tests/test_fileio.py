@@ -1,4 +1,5 @@
-"""csv_rows must write every value exactly as fmt does.
+"""csv_rows must write every value exactly as fmt does, and kv_text every
+value of a key=value line by one rule.
 
 Its fast path scales each value to a 12-digit integer and rounds once, so it
 can only go wrong near rounding ties, at decade and notation boundaries, at
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from sqkd import fileio
-from sqkd.fileio import csv_rows, fmt
+from sqkd.fileio import csv_rows, fmt, kv_text
 
 
 def assert_renders_like_fmt(values):
@@ -116,3 +117,30 @@ def test_digit_tables_keep_their_bytes(name, dtype, shape, digest):
     table = getattr(fileio, name)
     assert (table.dtype, table.shape) == (np.dtype(dtype), shape)
     assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, "none"),
+    (float("nan"), "none"),
+    (np.float64("nan"), "none"),
+    (True, "true"),
+    (np.True_, "true"),
+    (False, "false"),
+    (np.False_, "false"),
+    (0, "0"),
+    (np.int64(7), "7"),
+    (-0.0, fmt(-0.0)),
+    (1e-5, fmt(1e-5)),
+    (0.1 + 0.2, fmt(0.1 + 0.2)),
+    (np.float64(0.1) + np.float64(0.2), fmt(0.1 + 0.2)),
+    ("CTRL_X_NOISE", "CTRL_X_NOISE"),
+    (ValueError("p00 must lie in [0, 1]"), "p00 must lie in [0, 1]"),
+])
+def test_kv_text_renders_each_kind_of_value(value, text):
+    assert kv_text([("key", value)]) == f"key={text}\n"
+
+
+def test_kv_text_writes_one_line_per_pair_in_order():
+    assert kv_text([]) == ""
+    assert kv_text([("b", 0.1), ("abort", np.False_), ("rows", 4)]) == "b=0.1\nabort=false\nrows=4\n"
+    assert [fmt(-0.0), fmt(1e-5), fmt(0.1 + 0.2)] == ["-0", "1e-05", "0.3"]

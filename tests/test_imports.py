@@ -95,25 +95,45 @@ def test_every_public_method_in_src_has_a_caller():
     assert [method for method in methods if method[2] not in read] == []
 
 
-def functions_calling(tree, attr):
-    """The name of the innermost function around each use of ``np.<attr>``, None at module level."""
+def nodes_with_owner(tree):
+    """Every node of a module with the name of the innermost function around it, None at module level."""
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == attr
-                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
-            yield owner
+        yield node, owner
         for child in ast.iter_child_nodes(node):
             yield from visit(child, owner)
 
     yield from visit(tree, None)
 
 
+def src_nodes():
+    """(module, owner, node) of every node in src/sqkd, as ``nodes_with_owner`` gives them."""
+    for path in sorted((ROOT / "src" / "sqkd").glob("*.py")):
+        for node, owner in nodes_with_owner(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.stem, owner, node
+
+
 def test_fragment_overlaps_are_taken_only_by_the_round_law():
     # the physics of a round lives in one function; the unitarity check of an
     # attack is the only other reader of the fragments' inner products
-    paths = sorted((ROOT / "src" / "sqkd").glob("*.py"))
-    owners = {(path.stem, owner) for path in paths
-              for owner in functions_calling(ast.parse(path.read_text(encoding="utf-8")), "vdot")}
+    owners = {(stem, owner) for stem, owner, node in src_nodes()
+              if isinstance(node, ast.Attribute) and node.attr == "vdot"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")}
     assert owners == {("attacks", "attack_deviations"), ("attacks", "cell_probabilities")}
+
+
+def test_no_print_in_src_writes_to_stdout():
+    # a command returns (key, value) pairs; only messages to stderr are printed
+    prints = [(stem, owner, node) for stem, owner, node in src_nodes()
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert len(prints) > 1  # the error messages of the parser and of main
+    assert [(stem, owner) for stem, owner, node in prints if not any(k.arg == "file" for k in node.keywords)] == []
+
+
+def test_stdout_is_written_only_by_main():
+    # cli.main renders the pairs of every command once, with fileio.kv_text
+    writers = {(stem, owner) for stem, owner, node in src_nodes()
+               if isinstance(node, ast.Attribute) and node.attr == "write" and ast.unparse(node.value) == "sys.stdout"}
+    assert writers == {("cli", "main")}

@@ -16,16 +16,16 @@ from sqkd.attacks import (
     Statistics,
     compute_statistics,
 )
-from sqkd.fileio import ParseError
+from sqkd.fileio import ParseError, kv_text
 from sqkd.keyrate import (
     COARSE_STEP,
     _lambda,
     _libm,
     depolarizing_bound,
     depolarizing_stats,
-    format_report,
     key_rate_bound,
     load_statistics,
+    report_items,
     threshold_b,
     threshold_q,
     x_error_from_bias,
@@ -563,7 +563,7 @@ def test_statistics_file_errors(tmp_path):
 
 
 def test_format_report_layout():
-    text = format_report(key_rate_bound(IDENTITY_STATS))
+    text = kv_text(report_items(key_rate_bound(IDENTITY_STATS)))
     lines = text.splitlines()
     assert lines[0] == "bound=1"
     assert lines[1] == "B=0.5"
@@ -571,4 +571,4 @@ def test_format_report_layout():
     assert lines[-2] == "abort=false"
     assert lines[-1] == "clamped=false"
     report = key_rate_bound(depolarizing_stats(0.0, 0.31))
-    assert f"bound={depolarizing_bound(0.0, 0.31):.12g}" in format_report(report).splitlines()[0]
+    assert f"bound={depolarizing_bound(0.0, 0.31):.12g}" in kv_text(report_items(report)).splitlines()[0]

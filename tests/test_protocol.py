@@ -34,7 +34,7 @@ from sqkd.protocol import (
     _thresholds,
     run_protocol,
 )
-from sqkd.fileio import fmt
+from sqkd.fileio import fmt, kv_text
 
 IDENTITY = depolarizing_attack(0.0, 0.0)
 P_E_MINUS = STAT_FIELDS.index("p_e_minus")
@@ -127,7 +127,7 @@ def test_the_ctrl_x_rate_aborts_only_above_the_threshold(monkeypatch, sift_z, ct
     assert tr.test_bit_error_rate == (1.0 if sift_z == (1, 2) else 0.0)
     rate = tr.estimates()[0][P_E_MINUS]
     assert rate == minus / ctrl_x if ctrl_x else math.isnan(rate)
-    assert f"ctrl_x_error_rate={fmt(rate) if ctrl_x else 'none'}" in tr.summary_lines()
+    assert f"ctrl_x_error_rate={fmt(rate) if ctrl_x else 'none'}" in kv_text(tr.summary_items()).splitlines()
     assert_split_matches_the_reference(tr, cfg)
 
 
