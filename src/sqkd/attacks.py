@@ -249,28 +249,18 @@ def parse_attack_file(path) -> tuple[float, dict[str, np.ndarray]]:
     Returns the bias and the four raw fragments so that callers can report
     invariant deviations instead of failing outright.
     """
-    entries = fileio.read_kv_lines(path)
-    seen: dict[str, tuple[int, str]] = {}
-    for lineno, key, value in entries:
-        if key not in ("b", "d") + _VECTOR_KEYS:
-            raise ParseError(path, lineno, f"unknown key {key!r}")
-        if key in seen:
-            raise ParseError(path, lineno, f"duplicate key {key!r}")
-        seen[key] = (lineno, value)
-    for key in ("b", "d") + _VECTOR_KEYS:
-        if key not in seen:
-            raise ParseError(path, 0, f"missing key {key!r}")
-    lineno, value = seen["b"]
+    entries = fileio.read_kv_lines(path, ("b", "d", *_VECTOR_KEYS))
+    lineno, value = entries["b"]
     b = fileio.parse_float(path, lineno, "b", value)
     if not -0.5 <= b <= 0.5:
         raise ParseError(path, lineno, f"b must lie in [-1/2, 1/2], got {b!r}")
-    lineno, value = seen["d"]
+    lineno, value = entries["d"]
     d = fileio.parse_int(path, lineno, "d", value)
     if d < 1:
         raise ParseError(path, lineno, f"d must be positive, got {d}")
     vectors = {}
     for key in _VECTOR_KEYS:
-        lineno, value = seen[key]
+        lineno, value = entries[key]
         vectors[key] = _parse_vector(path, lineno, key, value, d)
     return b, vectors
 

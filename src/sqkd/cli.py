@@ -73,6 +73,8 @@ class SweepSpec:
         if not span < MAX_GRID:
             size = self.grid_size() if math.isfinite(span) else span
             raise ValueError(f"grid size {size} exceeds the {MAX_GRID} limit")
+        if "".join(self.output_path.splitlines()) != self.output_path:  # it would break the out= line
+            raise ValueError(f"output path must not hold a line break, got {self.output_path!r}")
 
     def grid_size(self) -> int:
         return int((self.stop - self.start) / self.step + 1e-9) + 1

@@ -128,9 +128,13 @@ def csv_rows(*columns) -> bytes:
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
-def read_kv_lines(path) -> list[tuple[int, str, str]]:
-    """Read ``key=value`` UTF-8 lines; blank lines and '#' comments are skipped."""
-    entries = []
+def read_kv_lines(path, keys) -> dict[str, tuple[int, str]]:
+    """Read UTF-8 ``key=value`` lines that hold each of ``keys`` exactly once.
+
+    Blank lines and '#' comments are skipped.  Returns ``{key: (lineno, value)}``
+    in file order; missing keys are reported at line 0, in the order of ``keys``.
+    """
+    entries = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             bad = _NOT_UTF8.search(raw)
@@ -143,10 +147,16 @@ def read_kv_lines(path) -> list[tuple[int, str, str]]:
                 raise ParseError(path, lineno, f"expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
             if not key:
                 raise ParseError(path, lineno, "empty key")
-            entries.append((lineno, key, value))
+            if key not in keys:
+                raise ParseError(path, lineno, f"unknown key {key!r}")
+            if key in entries:
+                raise ParseError(path, lineno, f"duplicate key {key!r}")
+            entries[key] = (lineno, value.strip())
+    missing = [key for key in keys if key not in entries]
+    if missing:
+        raise ParseError(path, 0, f"missing keys: {', '.join(missing)}")
     return entries
 
 

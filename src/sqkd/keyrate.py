@@ -29,7 +29,6 @@ import numpy as np
 
 from . import fileio
 from .attacks import STAT_FIELDS, Statistics, _check_bias, _check_noise
-from .fileio import ParseError
 
 
 @dataclass(frozen=True)
@@ -276,19 +275,9 @@ _STATS_KEYS = ("b", *STAT_FIELDS[1:])
 
 def load_statistics(path) -> Statistics:
     """Read a key-value statistics file, one point, and validate its invariants."""
-    entries = fileio.read_kv_lines(path)
-    seen: dict[str, float] = {}
-    for lineno, key, value in entries:
-        if key not in _STATS_KEYS:
-            raise ParseError(path, lineno, f"unknown key {key!r}")
-        if key in seen:
-            raise ParseError(path, lineno, f"duplicate key {key!r}")
-        seen[key] = fileio.parse_float(path, lineno, key, value)
-    missing = [key for key in _STATS_KEYS if key not in seen]
-    if missing:
-        raise ParseError(path, 0, f"missing keys: {', '.join(missing)}")
-    kwargs = {("bias" if key == "b" else key): seen[key] for key in _STATS_KEYS}
-    return Statistics(**kwargs)
+    entries = fileio.read_kv_lines(path, _STATS_KEYS)
+    values = {key: fileio.parse_float(path, lineno, key, value) for key, (lineno, value) in entries.items()}
+    return Statistics(*(values[key] for key in _STATS_KEYS))
 
 
 def report_items(report: KeyRateReport) -> list[tuple[str, object]]:

@@ -231,7 +231,7 @@ def test_attack_file_parse_errors(tmp_path):
     path = tmp_path / "bad.txt"
 
     path.write_text("b=0\nd=1\ne00=1,0\ne01=0,0\ne10=0,0\n")
-    with pytest.raises(ParseError, match="missing key 'e11'"):
+    with pytest.raises(ParseError, match="missing keys: e11$"):
         load_attack(path)
 
     path.write_text("b=0\nd=1\nwhat=1\ne00=1,0\ne01=0,0\ne10=0,0\ne11=1,0\n")

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import random_attack, save_attack, save_statistics
 from sqkd import cli
-from sqkd.attacks import STAT_FIELDS, Statistics, depolarizing_attack
-from sqkd.fileio import kv_text
+from sqkd.attacks import STAT_FIELDS, Statistics, depolarizing_attack, load_attack
+from sqkd.fileio import ParseError, kv_text
 from sqkd.keyrate import depolarizing_stats, key_rate_bound, load_statistics, report_items
 
 
@@ -125,13 +125,50 @@ def test_bound_and_simulate_stdout_is_byte_identical(capsys, tmp_path):
     assert digest.hexdigest() == BOUND_SHA256
 
 
-@pytest.mark.parametrize("command", ["bound --stats", "validate --attack"])
-def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, command):
+# malformed key=value files: a line put in after the first key of a valid
+# statistics or attack file that starts with a comment (None drops its second
+# and fourth keys instead), the line of the error and its message, in which
+# {1} and {3} are the dropped keys
+MALFORMED = {
+    "no_equals": (b"hello\n", 3, "expected key=value, got 'hello'"),
+    "empty_key": (b" =1\n", 3, "empty key"),
+    "unknown_key": (b"who=1\n", 3, "unknown key 'who'"),
+    "duplicate_key": (b"b=0\n", 3, "duplicate key 'b'"),
+    "two_missing_keys": (None, 0, "missing keys: {1}, {3}"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_key_value_files_fail_alike(capsys, tmp_path, case):
+    line, lineno, message = MALFORMED[case]
+    path = tmp_path / "bad.txt"
+    for name, load, command in (("stats", load_statistics, "bound --stats"), ("attack", load_attack, "validate --attack")):
+        lines = BOUND_FILES[name].encode().splitlines(keepends=True)
+        keys = [entry.partition(b"=")[0].decode() for entry in lines]
+        if line is None:
+            del lines[3], lines[1]
+        else:
+            lines.insert(1, line)
+        path.write_bytes(b"# made by hand\n" + b"".join(lines))
+        expected = f"{path}:{lineno}: {message.format(*keys)}"
+        with pytest.raises(ParseError) as raised:
+            load(path)
+        assert str(raised.value) == expected
+        assert run_cli(capsys, *command.split(), str(path)) == (1, "", f"sqkd: error: {expected}\n")
+
+
+@pytest.mark.parametrize(("load", "command"), [(load_statistics, "bound --stats"), (load_attack, "validate --attack")],
+                         ids=["bound --stats", "validate --attack"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, load, command):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"# made by hand\nb=0\xff\n")
+    expected = f"{path}:2: not UTF-8: byte 0xff"
+    with pytest.raises(ParseError) as raised:
+        load(path)
+    assert str(raised.value) == expected
     code, out, err = run_cli(capsys, *command.split(), str(path))
     assert code == 1 and out == ""
-    assert err.splitlines() == [f"sqkd: error: {path}:2: not UTF-8: byte 0xff"]
+    assert err.splitlines() == [f"sqkd: error: {expected}"]
 
 
 # ------------------------------------------------------------------- sweep
@@ -216,6 +253,18 @@ def test_sweep_rejects_non_finite_grid_flags(capsys, tmp_path, flag, value):
     assert code == 1 and out == ""
     assert err.splitlines() == [f"sqkd: error: {flag[2:]} must be finite, got {float(value)!r}"]
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r", "\u2028"], ids=["LF", "CR", "LS"])
+def test_sweep_rejects_an_out_path_with_a_line_break(capsys, tmp_path, line_break):
+    # the path would break the out= line of stdout
+    out_path = str(tmp_path / f"a{line_break}b.csv")
+    code, out, err = run_cli(
+        capsys, "sweep", "--var", "q", "--fixed", "0",
+        "--start", "0", "--stop", "0", "--step", "1", "--out", out_path)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"sqkd: error: output path must not hold a line break, got {out_path!r}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_a_grid_whose_size_overflows(capsys, tmp_path):

@@ -137,3 +137,18 @@ def test_stdout_is_written_only_by_main():
     writers = {(stem, owner) for stem, owner, node in src_nodes()
                if isinstance(node, ast.Attribute) and node.attr == "write" and ast.unparse(node.value) == "sys.stdout"}
     assert writers == {("cli", "main")}
+
+
+def test_key_value_files_are_read_and_checked_only_by_read_kv_lines():
+    # one reader owns the input format: every other open writes a file, and
+    # the faults of a file's key set are worded in one place
+    opens = [(stem, owner, node) for stem, owner, node in src_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    readers = [(stem, owner) for stem, owner, node in opens
+               if [arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant)] != ["wb"]]
+    assert len(opens) > 1
+    assert readers == [("fileio", "read_kv_lines")]
+    phrases = ("unknown key", "duplicate key", "missing key")
+    holders = {stem for stem, owner, node in src_nodes()
+               if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(p in node.value for p in phrases)}
+    assert holders == {"fileio"}

@@ -555,6 +555,10 @@ def test_statistics_file_errors(tmp_path):
     path.write_text("b=0\nwho=1\n")
     with pytest.raises(ParseError, match="stats.txt:2"):
         load_statistics(path)
+    # the key set is checked before the numbers
+    path.write_text("b=zzz\np00=0.5\nwho=1\n")
+    with pytest.raises(ParseError, match="stats.txt:3: unknown key 'who'"):
+        load_statistics(path)
     # well-formed file whose numbers violate the statistics invariants
     path.write_text(
         "b=0\np00=0.5\np01=0\np10=0\np11=0.4\np_e_minus=0\np0_plus=0.25\np1_plus=0.25\n")
