@@ -152,3 +152,26 @@ def test_key_value_files_are_read_and_checked_only_by_read_kv_lines():
     holders = {stem for stem, owner, node in src_nodes()
                if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(p in node.value for p in phrases)}
     assert holders == {"fileio"}
+
+
+def test_the_bound_kernel_has_no_per_element_python_loop():
+    # sweep is bound by numpy's vector loops: the kernel and every function of
+    # keyrate it calls, directly or not, hold no Python loop and no libm call
+    tree = ast.parse((ROOT / "src" / "sqkd" / "keyrate.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    kernel, todo = set(), ["key_rate_bound"]
+    while todo:
+        name = todo.pop()
+        if name not in kernel:
+            kernel.add(name)
+            todo += [node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name) and node.id in functions]
+    assert {"key_rate_bound", "_entropy", "_lambda", "_overlap_bound"} <= kernel
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for name in sorted(kernel):
+        for node in ast.walk(functions[name]):
+            text = ast.unparse(node) if isinstance(node, (ast.Name, ast.Attribute)) else ""
+            if (isinstance(node, loops) or text in ("map", "np.fromiter", "np.vectorize", "np.frompyfunc")
+                    or text.startswith("math.")):
+                found.append((name, type(node).__name__, text))
+    assert found == []

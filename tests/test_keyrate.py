@@ -20,7 +20,6 @@ from sqkd.fileio import ParseError, kv_text
 from sqkd.keyrate import (
     COARSE_STEP,
     _lambda,
-    _libm,
     depolarizing_bound,
     depolarizing_stats,
     key_rate_bound,
@@ -39,11 +38,23 @@ IDENTITY_STATS = Statistics(
 )
 
 
-def binary_entropy(x):
-    """h(x) with libm's log2, 0 at both ends: the scalar reference."""
+def binary_entropy(x, log2=np.log2):
+    """h(x) of a Python float, 0 at both ends: the scalar reference.
+
+    The default log2 is numpy's, the kernel's; math.log2 gives libm's, the one
+    depolarizing_bound takes.
+    """
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return float(-x * log2(x) - (1.0 - x) * log2(1.0 - x))
+
+
+def libm_square(d):
+    return d ** 2
+
+
+def numpy_square(d):
+    return d * d
 
 
 def overlap_bound(stats):
@@ -197,7 +208,7 @@ CORNER_STATS = [
     Statistics(bias=0.0, p00=-0.0, p01=0.5, p10=0.5, p11=-0.0,
                p_e_minus=0.3, p0_plus=0.25, p1_plus=0.25),
     # clamped; (p00 - p11)**2 rounds differently through libm pow and x*x,
-    # which moves lambda between 1 and 1 - 1 ulp
+    # which moved lambda between 1 and 1 - 1 ulp while the kernel used pow
     Statistics(bias=0.0, p00=0.5895080488549757, p01=0.09590841958795485,
                p10=0.2551881455122541, p11=0.059395386044815396,
                p_e_minus=0.0, p0_plus=0.0, p1_plus=0.0),
@@ -223,25 +234,28 @@ def _point(stats):
     return SimpleNamespace(**{name: getattr(stats, name).item() for name in COLUMN_FIELDS})
 
 
-def _reference_report(stats):
-    """The bound written out point by point with math, as a scalar formula;
-    the kernel must give its doubles bit for bit."""
+def _reference_report(stats, log2=np.log2, square=numpy_square):
+    """The bound written out point by point as a scalar formula.
+
+    With numpy's log2 and d * d, the kernel's functions, the kernel must give
+    its doubles bit for bit; math.log2 and ``d ** 2`` give libm's formula.
+    """
     raw = 1.0 - stats.p_e_minus - stats.p0_plus - stats.p1_plus - math.sqrt(
         max(stats.p01, 0.0) * max(stats.p10, 0.0))
     ceiling = math.sqrt(max(stats.p00, 0.0) * max(stats.p11, 0.0))
     big_b, clamped = (ceiling, True) if raw > ceiling else (raw, False)
     k1 = min(max(stats.p00 + stats.p11, 0.0), 1.0)
     k2 = min(max(stats.p01 + stats.p10, 0.0), 1.0)
-    h_a = binary_entropy(min(max(stats.p00 + stats.p01, 0.0), 1.0))
+    h_a = binary_entropy(min(max(stats.p00 + stats.p01, 0.0), 1.0), log2)
     lam = None
     h_lam = 0.0
     if k1 != 0.0:
         b_pos = max(big_b, 0.0)
-        lam = 0.5 + math.sqrt((stats.p00 - stats.p11) ** 2 + 4.0 * b_pos * b_pos) / (
+        lam = 0.5 + math.sqrt(square(stats.p00 - stats.p11) + 4.0 * b_pos * b_pos) / (
             2.0 * (stats.p00 + stats.p11))
         lam = min(max(lam, 0.5), 1.0)
-        h_lam = binary_entropy(lam)
-    k0 = binary_entropy(k1)
+        h_lam = binary_entropy(lam, log2)
+    k0 = binary_entropy(k1, log2)
     return dict(bound=h_a - k0 - k2 - k1 * h_lam, B_lower=big_b, B_clamped=clamped, lam=lam,
                 k0=k0, k1=k1, k2=k2, h_A=h_a, abort=not clamped and big_b <= 0.0)
 
@@ -262,14 +276,56 @@ def test_kernel_gives_the_scalar_formula_bit_for_bit():
                 assert _same_bits(value, want[name]), (name, stats)
 
 
-def test_libm_maps_every_element_bit_for_bit():
-    x = np.random.default_rng(17).uniform(1e-3, 9.0, (7, 12))
-    for arr in (x.T, x.ravel()[::-3], np.array(0.3), np.array(5e-324), np.empty((3, 0))):
-        for fn, args, sign in ((math.log2, (), 1.0), (pow, (2,), -1.0)):
-            got = _libm(fn, sign * arr, *args)
-            want = [fn(v, *args) for v in (sign * arr).ravel().tolist()]
-            assert got.shape == arr.shape
-            assert got.tobytes() == np.array(want, dtype=float).tobytes()
+def test_log2_gives_one_double_at_any_layout():
+    # what makes a batch equal one-at-a-time calls, and sweep rows
+    # independent of SWEEP_CHUNK: np.log2 of an element does not depend on
+    # the length, offset or stride of the array around it, nor on whether it
+    # is a Python float
+    rng = np.random.default_rng(29)
+    x = np.concatenate([
+        rng.uniform(0.0, 1.0, 12000),
+        10.0 ** rng.uniform(-300.0, 0.0, 6000),  # near 0
+        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 6000),  # near 1
+        np.nextafter(rng.uniform(0.4, 0.6, 6000), 1.0),
+        [5e-324, 2.2250738585072014e-308, 0.5, np.nextafter(1.0, 0.0)],
+    ])
+    x = x[(0.0 < x) & (x < 1.0)]
+    assert len(x) > 29000
+    want = np.log2(x)
+    assert np.log2(x.copy()).tobytes() == want.tobytes()
+    assert np.log2(x.reshape(-1, 2).T).T.ravel().tobytes() == want.tobytes()
+    # positive strides only: numpy 2.4 takes a reversed view through another
+    # loop, libm's, while the kernel's arrays are all freshly made
+    for view in (slice(1, None), slice(3, -2), slice(None, None, 2), slice(1, None, 3), slice(5, None, 64)):
+        assert np.log2(x[view]).tobytes() == want[view].tobytes(), view
+    for n in range(1, 34):  # every SIMD tail
+        for start in range(0, len(x), 40 * n):
+            assert np.log2(x[start:start + n].copy()).tobytes() == want[start:start + n].tobytes(), (n, start)
+    floats = x.tolist()
+    assert np.array([np.log2(xi) for xi in floats]).tobytes() == want.tobytes()
+    assert np.array([np.log2(np.array([xi]))[0] for xi in floats]).tobytes() == want.tobytes()
+    # the kernel takes log2(1 - x) of the whole array; the reference of each float
+    assert np.log2(1.0 - x).tobytes() == np.array([np.log2(1.0 - xi) for xi in floats]).tobytes()
+    d = rng.uniform(-1.0, 1.0, 30000)
+    assert (d * d).tobytes() == np.square(d).tobytes() == np.array([di * di for di in d.tolist()]).tobytes()
+
+
+def test_kernel_stays_within_1e_14_of_the_libm_formula():
+    # the kernel's doubles are numpy's; libm's log2 and d ** 2 give doubles
+    # that differ by an ulp on a few tenths of a percent of inputs
+    rng = np.random.default_rng(43)
+    stats = _sample_stats() + [compute_statistics(random_attack(rng, ancilla_dim=1 + k % 4)) for k in range(3000)]
+    got = key_rate_bound(_columns(stats))
+    worst = 0.0
+    for i, one in enumerate(stats):
+        want = _reference_report(_point(one), math.log2, libm_square)
+        for name in ("bound", "k0", "h_A", "lam"):
+            value = getattr(got, name)[i].item()
+            if name == "lam" and want["lam"] is None:
+                assert math.isnan(value), i
+            else:
+                worst = max(worst, abs(value - want[name]))
+    assert worst <= 1e-14
 
 
 def test_batch_matches_one_at_a_time_bit_for_bit():
