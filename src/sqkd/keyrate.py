@@ -14,9 +14,10 @@ matching key bits:
     B = 1 - p_e_minus - p0_plus - p1_plus - sqrt(p01 p10).
 
 One numpy kernel evaluates the bound at every point of a Statistics, one
-point or many, with numpy's log2 and x * x and no Python work per point.  For a depolarizing reverse channel with parameter q everything
-collapses to the closed form f(b, q) implemented in depolarizing_bound(), the
-scalar evaluator of the threshold searches.
+point or many, with numpy's log2 and x * x and no Python work per point.
+For a depolarizing reverse channel with parameter q everything collapses to
+the closed form f(b, q) implemented in depolarizing_bound(), the scalar
+evaluator of the threshold searches.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ def depolarizing_bound(b: float, q: float) -> float:
     lambda = 1/2 + sqrt(b^2 (2-q)^2 + 4 B^2) / (2 - q); a negative B is
     replaced by 0, matching the abort diagnostics of key_rate_bound.  The
     threshold searches evaluate this scalar closed form, one point at a
-    time: a kernel call on a batch of one costs far more.
+    time: a kernel call on a batch of one costs far more.  It takes libm's
+    log2, which on one Python float costs a fifth of np.log2; the kernel's
+    numpy log2 may differ from it by an ulp.
     """
     b, q = _check_bias(b), _check_noise(q)
     root = math.sqrt(max(0.0, 1.0 - 4.0 * b * b))
