@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import math
 import os
@@ -32,6 +33,10 @@ MAX_GRID = 10**6
 
 #: grid points sweep evaluates and writes per pass; it bounds sweep's memory
 SWEEP_CHUNK = 4096
+
+#: bytes of freed heap top glibc's free() keeps (mallopt M_TOP_PAD) instead of
+#: handing them back, so the next sweep chunk does not fault them in again
+HEAP_TOP_PAD = 4 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,7 +257,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def keep_heap_top() -> None:
+    """Once per process: glibc keeps HEAP_TOP_PAD bytes of freed heap top
+    (M_TOP_PAD is -2); a C library without mallopt is left as it is."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).mallopt(-2, HEAP_TOP_PAD)
+
+
 def main(argv=None) -> int:
+    keep_heap_top()
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = parser.commands.get(argv[0]) if argv else None
