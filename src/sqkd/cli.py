@@ -34,8 +34,7 @@ MAX_GRID = 10**6
 #: grid points sweep evaluates and writes per pass; it bounds sweep's memory
 SWEEP_CHUNK = 4096
 
-#: bytes of freed heap top glibc's free() keeps (mallopt M_TOP_PAD) instead of
-#: handing them back, so the next sweep chunk does not fault them in again
+#: freed heap top glibc keeps for the next sweep chunk rather than trim and fault in again
 HEAP_TOP_PAD = 4 << 20
 
 
@@ -259,10 +258,11 @@ def build_parser() -> _Parser:
 
 @functools.cache
 def keep_heap_top() -> None:
-    """Once per process: glibc keeps HEAP_TOP_PAD bytes of freed heap top
-    (M_TOP_PAD is -2); a C library without mallopt is left as it is."""
+    """mallopt(M_TOP_PAD = -2, HEAP_TOP_PAD) once per process; a libc without mallopt is left alone."""
     with contextlib.suppress(AttributeError, OSError, TypeError):
-        ctypes.CDLL(None).mallopt(-2, HEAP_TOP_PAD)
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-2, HEAP_TOP_PAD)
 
 
 def main(argv=None) -> int:

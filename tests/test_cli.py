@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -709,12 +710,12 @@ def test_without_mallopt_the_cli_runs_as_before(capsys, monkeypatch, unset_heap_
 def test_the_heap_policy_is_set_once_per_process(capsys, monkeypatch, unset_heap_policy):
     calls = []
 
-    class Libc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-            return 1
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc() if name is None else None)
+    libc = types.SimpleNamespace(mallopt=mallopt)  # a plain function, so argtypes can be set on it
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc if name is None else None)
     argv, code, out = OTHER_STDOUT[0]
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv) == (code, out, "")
     assert calls == [(-2, cli.HEAP_TOP_PAD)]
