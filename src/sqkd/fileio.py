@@ -14,12 +14,10 @@ import numpy as np
 
 
 class ParseError(ValueError):
-    """Malformed input file; carries the path and 1-based line number."""
+    """Malformed input file; the message starts with the path and 1-based line number."""
 
     def __init__(self, path, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
-        self.path = path
-        self.line = line
 
 
 def fmt(x: float) -> str:

@@ -139,13 +139,13 @@ def _estimates(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Run parameters; the number of rounds is ceil(8 n (1 + delta))."""
+    """Run parameters.  Bob sifts and Alice measures in Z with probability 1/2
+    each, so SIFT-Z rounds are 1/4 of all rounds; the run needs 2n of them, n
+    test and n key rounds, and so has ceil(8 n (1 + delta)) rounds."""
 
     n: int
     seed: int
     delta: float = 0.25
-    p_sift: float = 0.5
-    p_z: float = 0.5
     p_t: float = 0.1
 
     def __post_init__(self):
@@ -155,10 +155,6 @@ class ProtocolConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 0.0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
-        for name in ("p_sift", "p_z"):
-            p = float(getattr(self, name))
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {p!r}")
         if not 0.0 < self.p_t < 0.5:
             raise ValueError(f"error threshold p_t must lie in (0, 1/2), got {self.p_t!r}")
         # n is checked first: 8 * n cannot overflow a float once n <= MAX_ROUNDS
@@ -187,8 +183,6 @@ class ProtocolTranscript:
     cells: np.ndarray
     table: np.ndarray
     test_bit_error_rate: float
-    raw_key_alice: np.ndarray | None
-    raw_key_bob: np.ndarray | None
     abort_reason: str | None
 
     @property
@@ -284,8 +278,9 @@ def _fill(seed: int, start: int, stop: int, cuts: tuple[float, float, float], fi
     """Draw and classify rounds [start, stop) into ``cells[start:stop]``, add
     their number in each cell to ``counts`` and append their SIFT-Z cells to
     ``sift_z``.  The generator is jumped to round ``start``; ``cuts`` holds
-    p_sift, p_z and the bit cut 1/2 + b, and ``first_cell`` and ``p_first``
-    the first cell and the first-outcome probability of each packed choice.
+    the SIFT cut, the Z cut and the bit cut 1/2 + b, and ``first_cell`` and
+    ``p_first`` the first cell and the first-outcome probability of each
+    packed choice.
     """
     k_sift, k_z, k_bit = _thresholds(cuts)
     k_first = _thresholds(p_first)
@@ -305,7 +300,7 @@ def _fill(seed: int, start: int, stop: int, cuts: tuple[float, float, float], fi
 
 
 def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTranscript:
-    """Simulate all rounds, apply the abort checks in order, and distill keys.
+    """Simulate all rounds, draw the test rounds and apply the abort checks in order.
 
     Aborts are recorded on the transcript, not raised.  Identical
     (cfg, attack) pairs produce bit-identical transcripts.
@@ -322,7 +317,7 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     cells = np.empty(n_rounds, dtype=np.int8)
     counts = np.zeros((w, 12), dtype=np.int64)
     sift_z = [[] for _ in range(w)]
-    shared = ((cfg.p_sift, cfg.p_z, 0.5 + attack.bias), 2 * _BRANCH_OF, p_first[_BRANCH_OF], cells)
+    shared = ((0.5, 0.5, 0.5 + attack.bias), 2 * _BRANCH_OF, p_first[_BRANCH_OF], cells)
     errors = [None] * w
 
     def span(k):
@@ -346,31 +341,19 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     table = counts.sum(axis=0)
 
     sz_cells = np.concatenate([part for parts in sift_z for part in parts])  # in round order
-    abort = key_alice = key_bob = None
+    abort = None
     test_error = math.nan
     if sz_cells.size < 2 * n:
         abort = ABORT_TOO_FEW_SIFT_Z
     else:
-        picked = np.zeros(sz_cells.size, dtype=bool)  # the test rounds among the SIFT-Z cells
         # the generator continues where the draw of the last round left the stream
         rng = np.random.Generator(np.random.Philox(cfg.seed).advance(n_rounds))
-        picked[rng.choice(sz_cells.size, size=n, replace=False)] = True
-        test_cells = np.compress(picked, sz_cells)
+        test_cells = sz_cells[rng.choice(sz_cells.size, size=n, replace=False)]
         test_error = int(np.count_nonzero((test_cells & 1) != (test_cells >> 1))) / n
         # the CTRL-X error rate is the p_e_minus estimate; NaN, for no CTRL-X round, never aborts
         if _estimates(table)[0][5] > cfg.p_t:
             abort = ABORT_CTRL_X_NOISE
         elif test_error > cfg.p_t:
             abort = ABORT_TEST_BIT_NOISE
-        else:
-            key_cells = np.compress(~picked, sz_cells)[:n]
-            key_alice, key_bob = key_cells & 1, key_cells >> 1
 
-    return ProtocolTranscript(
-        cells=cells,
-        table=table,
-        test_bit_error_rate=test_error,
-        raw_key_alice=key_alice,
-        raw_key_bob=key_bob,
-        abort_reason=abort,
-    )
+    return ProtocolTranscript(cells=cells, table=table, test_bit_error_rate=test_error, abort_reason=abort)

@@ -95,6 +95,34 @@ def test_every_public_method_in_src_has_a_caller():
     assert [method for method in methods if method[2] not in read] == []
 
 
+def dataclass_fields(name):
+    """The annotated fields of the class ``name`` in ``sqkd.protocol``."""
+    tree = ast.parse((ROOT / "src" / "sqkd" / "protocol.py").read_text(encoding="utf-8"))
+    [cls] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name]
+    return [item.target.id for item in cls.body if isinstance(item, ast.AnnAssign)]
+
+
+def test_every_protocol_config_field_is_set_by_simulate():
+    # a knob only tests set would be a branch of the simulator no command runs
+    tree = ast.parse((ROOT / "src" / "sqkd" / "cli.py").read_text(encoding="utf-8"))
+    [simulate] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "cmd_simulate"]
+    [call] = [node for node in ast.walk(simulate)
+              if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ProtocolConfig")]
+    fields = dataclass_fields("ProtocolConfig")
+    assert fields[:2] == ["n", "seed"]
+    assert call.args == [] and sorted(k.arg for k in call.keywords) == sorted(fields)
+
+
+def test_every_protocol_transcript_field_is_read():
+    # a field counts as read where src/sqkd or scripts/ read an attribute of its name, on any object
+    paths = [*(ROOT / "src" / "sqkd").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    read = {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = dataclass_fields("ProtocolTranscript")
+    assert "cells" in fields
+    assert [field for field in fields if field not in read] == []
+
+
 def nodes_with_owner(tree):
     """Every node of a module with the name of the innermost function around it, None at module level."""
 

@@ -52,8 +52,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(n=10, seed=0, delta=0.0)
     with pytest.raises(ValueError):
-        ProtocolConfig(n=10, seed=0, p_sift=1.0)
-    with pytest.raises(ValueError):
         ProtocolConfig(n=10, seed=0, p_t=0.5)
     # the round cap is checked before anything is allocated, also where
     # 8 n (1 + delta) overflows a float
@@ -87,12 +85,8 @@ def reference_split(tr, cfg):
 
 
 def assert_split_matches_the_reference(tr, cfg):
-    error, alice, bob = reference_split(tr, cfg)
+    error = reference_split(tr, cfg)[0]
     assert tr.test_bit_error_rate == error or math.isnan(tr.test_bit_error_rate) and math.isnan(error)
-    if tr.abort_reason is None:
-        assert np.array_equal(tr.raw_key_alice, alice) and np.array_equal(tr.raw_key_bob, bob)
-    else:
-        assert tr.raw_key_alice is None and tr.raw_key_bob is None
 
 
 def fill_with(crafted):
@@ -137,8 +131,9 @@ def test_noiseless_run_gives_identical_keys():
     assert tr.abort_reason is None
     assert tr.estimates()[0][P_E_MINUS] == 0.0  # the CTRL-X error rate
     assert tr.test_bit_error_rate == 0.0
-    assert tr.raw_key_alice.size == 1000
-    assert np.array_equal(tr.raw_key_alice, tr.raw_key_bob)
+    _, alice, bob = reference_split(tr, cfg)
+    assert alice.size == 1000
+    assert np.array_equal(alice, bob)
 
 
 def test_runs_are_deterministic():
@@ -148,7 +143,7 @@ def test_runs_are_deterministic():
     b = run_protocol(cfg, atk)
     assert np.array_equal(a.cells, b.cells)
     assert a.test_bit_error_rate == b.test_bit_error_rate
-    assert np.array_equal(a.raw_key_alice, b.raw_key_alice)
+    assert np.array_equal(reference_split(a, cfg)[1], reference_split(b, cfg)[1])
     assert_split_matches_the_reference(a, cfg)
     for x, y in zip(a.estimates(), b.estimates()):
         assert np.array_equal(x, y)
@@ -177,13 +172,17 @@ def test_estimates_track_analytic_statistics():
 def test_noisy_channel_aborts():
     tr = run_protocol(ProtocolConfig(n=1000, seed=5, p_t=0.1), depolarizing_attack(0.0, 0.9))
     assert tr.abort_reason in (ABORT_CTRL_X_NOISE, ABORT_TEST_BIT_NOISE)
-    assert tr.raw_key_alice is None and tr.raw_key_bob is None
+    assert tr.estimates()[0][P_E_MINUS] > 0.1 or tr.test_bit_error_rate > 0.1
 
 
-def test_too_few_sift_z_aborts_first():
-    # with p_sift this small the sifted count cannot reach 2n
-    cfg = ProtocolConfig(n=100, seed=8, p_sift=0.01)
-    tr = run_protocol(cfg, depolarizing_attack(0.0, 0.9))
+def test_too_few_sift_z_aborts_first(monkeypatch):
+    # 2n - 1 SIFT-Z rounds that all disagree, then CTRL-X rounds that all read -
+    cfg = ProtocolConfig(n=100, seed=8)
+    crafted = np.array([1] * (2 * cfg.n - 1) + [11] * (cfg.n_rounds - 2 * cfg.n + 1), dtype=np.int8)
+    monkeypatch.setattr(sqkd.protocol, "_fill", fill_with(crafted))
+    tr = run_protocol(cfg, IDENTITY)
+    assert np.array_equal(tr.cells, crafted) and tr.sift_z_count == 2 * cfg.n - 1
+    assert tr.estimates()[0][P_E_MINUS] == 1.0
     assert tr.abort_reason == ABORT_TOO_FEW_SIFT_Z
     assert tr.test_bit_error_rate != tr.test_bit_error_rate  # NaN: step never ran
     assert_split_matches_the_reference(tr, cfg)
@@ -198,11 +197,13 @@ def test_no_abort_for_noiseless_channel_at_any_threshold():
 
 def test_key_disagreement_matches_error_probability():
     atk = depolarizing_attack(0.0, 0.2)
-    tr = run_protocol(ProtocolConfig(n=20_000, seed=13, p_t=0.2), atk)
+    cfg = ProtocolConfig(n=20_000, seed=13, p_t=0.2)
+    tr = run_protocol(cfg, atk)
     assert tr.abort_reason is None
-    disagree = float(np.count_nonzero(tr.raw_key_alice != tr.raw_key_bob)) / tr.raw_key_alice.size
+    _, alice, bob = reference_split(tr, cfg)
+    disagree = float(np.count_nonzero(alice != bob)) / alice.size
     p_err = 0.1  # p01 + p10 at q = 0.2, b = 0
-    se = math.sqrt(p_err * (1 - p_err) / tr.raw_key_alice.size)
+    se = math.sqrt(p_err * (1 - p_err) / alice.size)
     assert abs(disagree - p_err) <= 4 * se
 
 
@@ -356,9 +357,13 @@ def test_words_at_the_thresholds_decide_as_the_doubles(monkeypatch, cuts):
 # ---------------------------------------------------------------- estimates
 
 
-def test_empty_ctrl_class_is_flagged_not_fabricated():
-    cfg = ProtocolConfig(n=2, seed=4, p_sift=1.0 - 1e-12)
+def test_empty_ctrl_class_is_flagged_not_fabricated(monkeypatch):
+    # every cell but the two CTRL-X ones, in turn
+    cfg = ProtocolConfig(n=2, seed=4)
+    crafted = (np.arange(cfg.n_rounds) % 10).astype(np.int8)
+    monkeypatch.setattr(sqkd.protocol, "_fill", fill_with(crafted))
     tr = run_protocol(cfg, IDENTITY)
+    assert np.array_equal(tr.cells, crafted) and tr.sift_z_count >= 2 * cfg.n
     assert tr.ctrl_x_count == 0
     value, se = tr.estimates()
     assert math.isnan(value[P_E_MINUS]) and math.isnan(se[P_E_MINUS])
@@ -402,22 +407,22 @@ def test_round_records_are_consistent(tmp_path):
             assert outcome in ("+", "-")
 
 
-# (config, q, b) of four depolarizing runs: one aborting, one with
-# nondefault p_sift and p_z, one longer than three chunks of 4096 rounds, and
-# one of 120,000 rounds, longer than three default chunks, whose index width
-# changes from 5 to 6 digits
+# (config, q, b) of three depolarizing runs: one aborting, one longer than
+# three chunks of 4096 rounds, and one of 120,000 rounds, longer than three
+# default chunks, whose index width changes from 5 to 6 digits
 EXPORT_RUNS = (
     (dict(n=200, seed=31), 0.6, 0.0),
-    (dict(n=150, seed=32, delta=0.6, p_sift=0.3, p_z=0.7, p_t=0.3), 0.05, 0.15),
     (dict(n=1500, seed=33), 0.08, 0.1),
     (dict(n=12000, seed=34), 0.04, 0.05),
 )
-# sha256 of their exports: the first three written by the per-round-array
-# simulator that the cell-code transcript replaced, the fourth by the NUL-mask
+# their test ids, which skip cfg1, a run that set branch probabilities the
+# simulator no longer takes
+EXPORT_IDS = ("cfg0-0.6-0.0", "cfg2-0.08-0.1", "cfg3-0.04-0.05")
+# sha256 of their exports: the first two written by the per-round-array
+# simulator that the cell-code transcript replaced, the third by the NUL-mask
 # writer that the index-block writer replaced
 EXPORT_SHA256 = (
     "7fcc7e9ee01239e8610ecf8aedff28551541e2ce25cf79526c0222e545629d1b",
-    "af77fb4dfcc5664fb6e01782e46717712cadb6aa8125cd69e0c4def6fc01b49a",
     "7f70e68140f600b0a19b266b78f87193250d4811bd54b7ba4980bc30bdd3f270",
     "cd20eb71fa8b8c5b6e8f0e44e33989bed4aa0573168966c45cfcc0565f3e4a0d",
 )
@@ -444,7 +449,7 @@ def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chu
     # with SPAN 1 the core count is the number of spans; chunk 1 runs one
     # span only, and without the 120,000-round run, which alone would take
     # seconds there
-    runs = EXPORT_RUNS[:3] if chunk == 1 else EXPORT_RUNS
+    runs = EXPORT_RUNS[:2] if chunk == 1 else EXPORT_RUNS
     monkeypatch.setattr(sqkd.protocol, "SPAN", 1)
     spans = record_spans(monkeypatch)
     single = None
@@ -463,15 +468,14 @@ def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chu
         for tr, digest in zip(transcripts, EXPORT_SHA256):
             tr.to_csv(tmp_path / "t.csv")
             assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
-        assert [tr.abort_reason for tr in transcripts] == [ABORT_CTRL_X_NOISE, None, None, None][:len(runs)]
+        assert [tr.abort_reason for tr in transcripts] == [ABORT_CTRL_X_NOISE, None, None][:len(runs)]
         single = single or transcripts
         for (cfg, _, _), tr, one in zip(runs, transcripts, single):
             assert_split_matches_the_reference(tr, ProtocolConfig(**cfg))
-            assert np.array_equal(tr.raw_key_alice, one.raw_key_alice)
-            assert np.array_equal(tr.raw_key_bob, one.raw_key_bob)
+            assert np.array_equal(tr.cells, one.cells)
             assert tr.test_bit_error_rate == one.test_bit_error_rate
-    assert transcripts[2].n_rounds > 3 * 4096
-    assert chunk == 1 or transcripts[3].n_rounds > 3 * DEFAULT_CHUNK
+    assert transcripts[1].n_rounds > 3 * 4096
+    assert chunk == 1 or transcripts[2].n_rounds > 3 * DEFAULT_CHUNK
 
 
 @pytest.mark.parametrize("cores, n, spans", [(1, 5000, 1), (2, 2000, 1), (2, 5000, 2), (16, 20000, 8)])
@@ -556,7 +560,7 @@ def test_block_writer_matches_the_per_row_writer_across_several_blocks():
     assert _rows(29990, cells) == reference_rows(29990, cells)
 
 
-@pytest.mark.parametrize("cfg, q, b", EXPORT_RUNS)
+@pytest.mark.parametrize("cfg, q, b", EXPORT_RUNS, ids=EXPORT_IDS)
 def test_summary_matches_an_independent_tally_of_the_rows(tmp_path, cfg, q, b):
     tr = run_protocol(ProtocolConfig(**cfg), depolarizing_attack(b, q))
     tr.to_csv(tmp_path / "t.csv")
