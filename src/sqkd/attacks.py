@@ -123,23 +123,8 @@ STAT_FIELDS = ("bias", "p00", "p01", "p10", "p11", "p_e_minus", "p0_plus", "p1_p
 _LOW = np.array([[-0.5]] + [[-ATOL]] * 7)
 _HIGH = np.array([[0.5]] + [[1.0 + ATOL]] * 7)
 # p0_plus <= 1/2 + b and p1_plus <= 1/2 - b; -1 * b is exact, so the bounds
-# are the doubles the scalar checks compare with
+# are the doubles 1/2 + b + ATOL and 1/2 - b + ATOL
 _PLUS_SIGN = np.array([[1.0], [-1.0]])
-
-
-def _check_point(bias, p00, p01, p10, p11, p_e_minus, p0_plus, p1_plus) -> None:
-    """Raise the message of the first check that one point fails."""
-    _check_bias(bias)
-    for name, p in zip(STAT_FIELDS[1:], (p00, p01, p10, p11, p_e_minus, p0_plus, p1_plus)):
-        if not -ATOL <= p <= 1.0 + ATOL or p != p:
-            raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-    total = p00 + p01 + p10 + p11
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"p00+p01+p10+p11 must equal 1, got {total!r}")
-    if p0_plus > 0.5 + bias + ATOL:
-        raise ValueError(f"p0_plus={p0_plus!r} exceeds 1/2+b={0.5 + bias!r}")
-    if p1_plus > 0.5 - bias + ATOL:
-        raise ValueError(f"p1_plus={p1_plus!r} exceeds 1/2-b={0.5 - bias!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +164,16 @@ class Statistics:
         ok[:8] &= stack <= _HIGH
         np.less_equal(abs(p00 + p01 + p10 + p11 - 1.0), ATOL, out=ok[8])
         np.less_equal(stack[6:], 0.5 + _PLUS_SIGN * bias + ATOL, out=ok[9:])
-        if not ok.all():
-            _check_point(*stack[:, np.argmin(ok.all(axis=0))].tolist())
+        if not ok.all():  # word the first failing check of the first bad point
+            point = np.argmin(ok.all(axis=0))
+            bias, p00, p01, p10, p11, _, p0_plus, p1_plus = values = stack[:, point].tolist()
+            _check_bias(bias)  # raises when row 0 fails; the list words rows 1 to 10
+            raise ValueError([
+                *(f"{name} must lie in [0, 1], got {p!r}" for name, p in zip(STAT_FIELDS[1:], values[1:])),
+                f"p00+p01+p10+p11 must equal 1, got {p00 + p01 + p10 + p11!r}",
+                f"p0_plus={p0_plus!r} exceeds 1/2+b={0.5 + bias!r}",
+                f"p1_plus={p1_plus!r} exceeds 1/2-b={0.5 - bias!r}",
+            ][np.argmin(ok[1:, point])])
         stack.flags.writeable = False
         for name, row in zip(STAT_FIELDS, stack):
             object.__setattr__(self, name, row)

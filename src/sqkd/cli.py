@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,57 +51,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-dimensional grid over b or q with the other parameter fixed."""
-
-    variable: str
-    fixed_value: float
-    start: float
-    stop: float
-    step: float
-    output_path: str
-
-    def __post_init__(self):
-        if self.variable not in ("b", "q"):
-            raise ValueError(f"sweep variable must be 'b' or 'q', got {self.variable!r}")
-        for name in ("start", "stop", "step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.start > self.stop:
-            raise ValueError(f"start={self.start!r} must not exceed stop={self.stop!r}")
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step!r}")
-        span = (self.stop - self.start) / self.step + 1e-9  # inf when it overflows
-        if not span < MAX_GRID:
-            size = self.grid_size() if math.isfinite(span) else span
-            raise ValueError(f"grid size {size} exceeds the {MAX_GRID} limit")
-        if "".join(self.output_path.splitlines()) != self.output_path:  # it would break the out= line
-            raise ValueError(f"output path must not hold a line break, got {self.output_path!r}")
-
-    def grid_size(self) -> int:
-        return int((self.stop - self.start) / self.step + 1e-9) + 1
-
-    def chunks(self):
-        """The grid points start + i * step, SWEEP_CHUNK of them at a time."""
-        n = self.grid_size()
-        for lo in range(0, n, SWEEP_CHUNK):
-            yield self.start + np.arange(lo, min(lo + SWEEP_CHUNK, n)) * self.step
-
-    def statistics(self, x) -> attacks.Statistics:
-        if self.variable == "q":
-            return keyrate.depolarizing_stats(self.fixed_value, x)
-        return keyrate.depolarizing_stats(x, self.fixed_value)
-
-    def check(self) -> None:
-        """Reject a bad grid point.  The points rise and the valid b and q are intervals,
-        so the ends decide; only a bad grid pays for the scan that names its first bad point."""
-        try:
-            self.statistics(self.start + np.array([0, self.grid_size() - 1]) * self.step)
-        except ValueError:
-            for x in self.chunks():
-                self.statistics(x)
-            raise
+def _grid_size(args) -> int:
+    """The number of sweep grid points start + i * step, once the grid and its output path pass their checks."""
+    for name in ("start", "stop", "step"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(args, name)!r}")
+    if args.start > args.stop:
+        raise ValueError(f"start={args.start!r} must not exceed stop={args.stop!r}")
+    if not args.step > 0:
+        raise ValueError(f"step must be positive, got {args.step!r}")
+    span = (args.stop - args.start) / args.step + 1e-9  # inf when it overflows
+    if not span < MAX_GRID:
+        raise ValueError(f"grid size {int(span) + 1 if math.isfinite(span) else span} exceeds the {MAX_GRID} limit")
+    if "".join(args.out.splitlines()) != args.out:  # it would break the out= line
+        raise ValueError(f"output path must not hold a line break, got {args.out!r}")
+    return int(span) + 1
 
 
 def _statistics_from_args(args) -> attacks.Statistics:
@@ -124,17 +87,24 @@ def cmd_bound(args) -> tuple[int, list]:
 
 
 def cmd_sweep(args) -> tuple[int, list]:
-    spec = SweepSpec(
-        variable=args.var, fixed_value=args.fixed,
-        start=args.start, stop=args.stop, step=args.step,
-        output_path=args.out,
-    )
-    spec.check()  # before the file is opened
-    with open(spec.output_path, "wb") as fh:
+    n = _grid_size(args)
+    chunks = lambda: (args.start + np.arange(lo, min(lo + SWEEP_CHUNK, n)) * args.step
+                      for lo in range(0, n, SWEEP_CHUNK))
+    statistics = lambda x: keyrate.depolarizing_stats(*((args.fixed, x) if args.var == "q" else (x, args.fixed)))
+    # reject a bad grid point before the file is opened: the points rise and the
+    # valid b and q are intervals, so the ends decide; only a bad grid pays for
+    # the scan that names its first bad point
+    try:
+        statistics(args.start + np.array([0, n - 1]) * args.step)
+    except ValueError:
+        for x in chunks():
+            statistics(x)
+        raise
+    with open(args.out, "wb") as fh:
         fh.write(b"x,f\n")
-        for x in spec.chunks():
-            fh.write(csv_rows(x, keyrate.key_rate_bound(spec.statistics(x)).bound))
-    return EXIT_OK, [("rows", spec.grid_size()), ("out", spec.output_path)]
+        for x in chunks():
+            fh.write(csv_rows(x, keyrate.key_rate_bound(statistics(x)).bound))
+    return EXIT_OK, [("rows", n), ("out", args.out)]
 
 
 def _parse_fix(text: str) -> tuple[str, float]:

@@ -204,27 +204,26 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _positive_boundary(f, lo: float, hi: float, coarse: float, tol: float) -> float | None:
-    """First zero crossing of f on [lo, hi], located by a coarse scan then bisection.
-
-    Assumes f(lo) > 0; returns None when f never drops to 0 on the grid.
-    """
-    x = lo
-    while x < hi:
-        nxt = min(x + coarse, hi)
-        if f(nxt) <= 0.0:
-            return _bisect(f, x, nxt, tol)
-        x = nxt
-    return None
-
-
 #: step of the threshold searches' coarse scan; the bisection tolerance may not exceed it
 COARSE_STEP = 0.01
 
 
-def _check_tol(tol: float) -> None:
+def _first_zero(f, hi: float, tol: float) -> float | None:
+    """First zero crossing of f on [0, hi], located by a coarse scan then bisection.
+
+    Returns None when f(0) <= 0 or when f never drops to 0 on the scan's grid.
+    """
     if not 0.0 < tol <= COARSE_STEP:
         raise ValueError(f"tol must lie in (0, {COARSE_STEP}], got {tol!r}")
+    if f(0.0) <= 0.0:
+        return None
+    x = 0.0
+    while x < hi:
+        nxt = min(x + COARSE_STEP, hi)
+        if f(nxt) <= 0.0:
+            return _bisect(f, x, nxt, tol)
+        x = nxt
+    return None
 
 
 def threshold_q(b: float, tol: float = 1e-4) -> float | None:
@@ -233,11 +232,7 @@ def threshold_q(b: float, tol: float = 1e-4) -> float | None:
     Returns None when f(b, 0) <= 0.  The search runs on (0, 2/3), the region
     where the overlap bound B can be positive.
     """
-    _check_tol(tol)
-    f = lambda q: depolarizing_bound(b, q)
-    if f(0.0) <= 0.0:
-        return None
-    return _positive_boundary(f, 0.0, 2.0 / 3.0, coarse=COARSE_STEP, tol=tol)
+    return _first_zero(lambda q: depolarizing_bound(b, q), 2.0 / 3.0, tol)
 
 
 def threshold_b(q: float, tol: float = 1e-4) -> float | None:
@@ -251,11 +246,7 @@ def threshold_b(q: float, tol: float = 1e-4) -> float | None:
     h(1/2 + b) is positive on the whole open interval and the reported
     boundary is 1/2.
     """
-    _check_tol(tol)
-    f = lambda b: depolarizing_bound(b, q)
-    if f(0.0) <= 0.0:
-        return None
-    return _positive_boundary(f, 0.0, 0.5, coarse=COARSE_STEP, tol=tol)
+    return _first_zero(lambda b: depolarizing_bound(b, q), 0.5, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,48 @@ def test_the_bound_kernel_has_no_per_element_python_loop():
                     or text.startswith("math.")):
                 found.append((name, type(node).__name__, text))
     assert found == []
+
+
+def constant_text(node):
+    """The source of a literal or of an upper-case module name, else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant):
+        node = node.operand
+    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else ""
+    return ast.unparse(node) if isinstance(node, ast.Constant) or name.isupper() else None
+
+
+def passed_arguments(call, function):
+    """The expression a call passes to each parameter of a function, or the default it leaves in place."""
+    arguments = function.args
+    params = [arg.arg for arg in [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]]
+    positional = len(arguments.posonlyargs) + len(arguments.args)
+    passed = dict(zip(params, [None] * (positional - len(arguments.defaults)) + arguments.defaults + arguments.kw_defaults))
+    passed.update(zip(params, call.args))
+    passed.update((keyword.arg, keyword.value) for keyword in call.keywords)
+    return passed
+
+
+def test_no_private_function_takes_the_same_constant_at_every_call():
+    # a parameter that every caller fills with one constant states that
+    # constant once per call site; the function should hold it instead
+    sources = sorted((ROOT / "src" / "sqkd").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in [*sources, *(ROOT / "scripts").glob("*.py")]]
+    functions = {node.name: node for tree in trees[:len(sources)] for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__")}
+    calls = {name: [] for name in functions}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            calls.get(getattr(node.func, "id", getattr(node.func, "attr", None)), []).append(node)
+    assert len(functions) > 5
+    constant = []
+    for name, function in functions.items():
+        sites = calls[name]
+        if len(sites) < 2 or any(isinstance(arg, ast.Starred) for call in sites for arg in call.args) \
+                or any(keyword.arg is None for call in sites for keyword in call.keywords):
+            continue  # a lone caller, or arguments this check cannot match to parameters
+        passed = [passed_arguments(call, function) for call in sites]
+        for param in passed[0]:
+            values = {constant_text(arguments[param]) for arguments in passed}
+            if len(values) == 1 and None not in values:
+                constant.append((name, param, values.pop()))
+    assert constant == []

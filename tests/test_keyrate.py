@@ -186,6 +186,18 @@ def test_bound_never_exceeds_the_exact_rate():
     assert near_gap < 1e-5
 
 
+def test_bound_equals_the_exact_rate_on_dephasing():
+    # the dephasing dilation, Kraus operators sqrt(1 - g/2) I and sqrt(g/2) Z
+    # with e_ij[k] = (K_k)_{j,i}, is a family on which the bound is tight
+    for g in np.linspace(0.0, 1.0, 21):
+        kraus = [math.sqrt(1.0 - g / 2.0) * np.eye(2), math.sqrt(g / 2.0) * np.diag([1.0, -1.0])]
+        frags = {f"e{i}{j}": np.array([k[j, i] for k in kraus], dtype=complex) for i in (0, 1) for j in (0, 1)}
+        for b in np.linspace(-0.49, 0.49, 15):
+            bound = key_rate_bound(compute_statistics(RestrictedAttack(b, **frags))).bound[0]
+            gap = abs(bound - oracle.exact_rate(b, frags))
+            assert gap <= 1e-12, (g, b, gap)
+
+
 def test_report_internal_identities():
     rng = np.random.default_rng(37)
     report = key_rate_bound(_columns([compute_statistics(random_attack(rng)) for _ in range(300)]))
@@ -384,33 +396,50 @@ def test_depolarizing_stats_columns_reject_the_first_bad_point(capsys, b, q, mes
 
 
 # the message of each statistics check, worded as it was while the statistics
-# of one point were a class of their own
+# of one point were a class of their own, and the number of checks the point
+# fails: where it fails several, the earliest in this order words the error
 STATISTICS_CHECKS = [
-    ("bias", 0.6, "bias must lie in [-1/2, 1/2], got 0.6"),
-    ("bias", float("nan"), "bias must lie in [-1/2, 1/2], got nan"),
-    ("p00", -0.1, "p00 must lie in [0, 1], got -0.1"),
-    ("p10", float("inf"), "p10 must lie in [0, 1], got inf"),
-    ("p11", 1.2, "p11 must lie in [0, 1], got 1.2"),
-    ("p_e_minus", float("nan"), "p_e_minus must lie in [0, 1], got nan"),
-    ("p01", 0.2, "p00+p01+p10+p11 must equal 1, got 1.2"),
-    ("p0_plus", 0.76, "p0_plus=0.76 exceeds 1/2+b=0.5"),
-    ("p1_plus", 0.51, "p1_plus=0.51 exceeds 1/2-b=0.5"),
+    ({"bias": 0.6}, "bias must lie in [-1/2, 1/2], got 0.6", 2),
+    ({"bias": float("nan")}, "bias must lie in [-1/2, 1/2], got nan", 3),
+    ({"bias": 0.6, "p0_plus": 0.76}, "bias must lie in [-1/2, 1/2], got 0.6", 2),
+    ({"bias": -0.6, "p00": -0.1, "p0_plus": 0.3}, "bias must lie in [-1/2, 1/2], got -0.6", 4),
+    ({"p00": -0.1}, "p00 must lie in [0, 1], got -0.1", 2),
+    ({"p10": float("inf")}, "p10 must lie in [0, 1], got inf", 2),
+    ({"p10": float("inf"), "p1_plus": 0.6}, "p10 must lie in [0, 1], got inf", 3),
+    ({"p11": 1.2}, "p11 must lie in [0, 1], got 1.2", 2),
+    ({"p_e_minus": float("nan")}, "p_e_minus must lie in [0, 1], got nan", 1),
+    ({"p_e_minus": float("nan"), "p01": 0.2, "p1_plus": 0.51}, "p_e_minus must lie in [0, 1], got nan", 3),
+    ({"p01": 0.2}, "p00+p01+p10+p11 must equal 1, got 1.2", 1),
+    ({"p01": 0.2, "p0_plus": 0.76}, "p00+p01+p10+p11 must equal 1, got 1.2", 2),
+    ({"p0_plus": 0.76}, "p0_plus=0.76 exceeds 1/2+b=0.5", 1),
+    ({"p0_plus": 0.76, "p1_plus": 0.51}, "p0_plus=0.76 exceeds 1/2+b=0.5", 2),
+    ({"p1_plus": 0.51}, "p1_plus=0.51 exceeds 1/2-b=0.5", 1),
 ]
 
 
-@pytest.mark.parametrize("field, value, message", [
-    pytest.param(field, value, message, id=f"{field}-{value}") for field, value, message in STATISTICS_CHECKS
+def _failed_checks(point):
+    """How many checks of Statistics one point fails, by plain comparisons."""
+    b, p00, p01, p10, p11, _, p0_plus, p1_plus = (point[name] for name in COLUMN_FIELDS)
+    ranges = [not -0.5 <= b <= 0.5] + [not -1e-9 <= point[name] <= 1.0 + 1e-9 for name in COLUMN_FIELDS[1:]]
+    return sum(ranges) + (not abs(p00 + p01 + p10 + p11 - 1.0) <= 1e-9) \
+        + (not p0_plus <= 0.5 + b + 1e-9) + (not p1_plus <= 0.5 - b + 1e-9)
+
+
+@pytest.mark.parametrize("changes, message, failures", [
+    pytest.param(changes, message, failures, id="-".join(f"{field}-{value}" for field, value in changes.items()))
+    for changes, message, failures in STATISTICS_CHECKS
 ])
-def test_statistics_columns_reject_the_first_bad_point(capsys, tmp_path, field, value, message):
+def test_statistics_columns_reject_the_first_bad_point(capsys, tmp_path, changes, message, failures):
     good = {name: getattr(IDENTITY_STATS, name).item() for name in COLUMN_FIELDS}
-    bad = {**good, field: value}
+    bad = {**good, **changes}
+    assert _failed_checks(good) == 0 and _failed_checks(bad) == failures
     also_bad = {**good, "p_e_minus": 2.0}
     with pytest.raises(ValueError) as one:
         Statistics(**bad)
     with pytest.raises(ValueError) as batch:
         Statistics(**{name: [p[name] for p in (good, good, bad, also_bad)] for name in COLUMN_FIELDS})
     assert str(one.value) == str(batch.value) == message
-    if math.isfinite(value):  # a statistics file holds finite numbers only
+    if all(map(math.isfinite, changes.values())):  # a statistics file holds finite numbers only
         path = tmp_path / "stats.txt"
         oracle.write_statistics(path, {"b" if name == "bias" else name: bad[name] for name in COLUMN_FIELDS})
         assert _run_cli(capsys, "bound", "--stats", str(path)) == (1, "", f"sqkd: error: {message}\n")
@@ -533,6 +562,16 @@ def test_threshold_tol_must_be_finite_and_at_most_the_coarse_step(tol):
     for search in (threshold_q, threshold_b):
         with pytest.raises(ValueError, match="tol must lie in"):
             search(0.1, tol=tol)
+
+
+def test_threshold_finds_a_zero_inside_the_first_coarse_step():
+    # q*(0.4999) is about 0.0020 and b*(0.19378) about 0.0058: the scan must
+    # start at 0, or it brackets neither
+    tol = 1e-9
+    for x_star, f in ((threshold_q(0.4999, tol), lambda q: depolarizing_bound(0.4999, q)),
+                      (threshold_b(0.19378, tol), lambda b: depolarizing_bound(b, 0.19378))):
+        assert 0.0 < x_star < COARSE_STEP
+        assert f(x_star - tol) > 0.0 >= f(x_star + tol)
 
 
 def test_threshold_stops_at_ulp_resolution():
