@@ -218,7 +218,8 @@ def passed_arguments(call, function):
     arguments = function.args
     params = [arg.arg for arg in [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]]
     positional = len(arguments.posonlyargs) + len(arguments.args)
-    passed = dict(zip(params, [None] * (positional - len(arguments.defaults)) + arguments.defaults + arguments.kw_defaults))
+    defaults = [None] * (positional - len(arguments.defaults)) + arguments.defaults + arguments.kw_defaults
+    passed = dict(zip(params, defaults))
     passed.update(zip(params, call.args))
     passed.update((keyword.arg, keyword.value) for keyword in call.keywords)
     return passed
