@@ -28,7 +28,7 @@ ATOL = 1e-9
 
 def _check_bias(b: float) -> float:
     b = float(b)
-    if not -0.5 <= b <= 0.5 or b != b:
+    if not -0.5 <= b <= 0.5:
         raise ValueError(f"bias must lie in [-1/2, 1/2], got {b!r}")
     return b
 

@@ -141,9 +141,7 @@ def cmd_simulate(args) -> tuple[int, list]:
         if args.q is None or args.b is None:
             raise ValueError("--q and --b must be given together")
         attack = attacks.depolarizing_attack(args.b, args.q)
-    cfg = protocol.ProtocolConfig(
-        n=args.n, seed=args.seed, delta=args.delta, p_t=args.pt,
-    )
+    cfg = protocol.ProtocolConfig(n=args.n, seed=args.seed, delta=args.delta)
     # the export file is opened before the run, so that a path that cannot be
     # written fails at once, and held open until the export is written, so
     # that the reader of a FIFO sees one stream
@@ -214,7 +212,6 @@ def build_parser() -> _Parser:
     p.add_argument("--b", type=float, default=None, help="bias of the injected state")
     p.add_argument("--q", type=float, default=None, help="depolarizing parameter of the reverse channel")
     p.add_argument("--attack", default=None, help="attack specification file")
-    p.add_argument("--pt", type=float, default=0.1, help="error-rate abort threshold")
     p.add_argument("--delta", type=float, default=0.25, help="round overhead factor")
     p.add_argument("--export", default=None, help="write the transcript CSV here")
     p.set_defaults(func=cmd_simulate)

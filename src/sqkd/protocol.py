@@ -14,7 +14,7 @@ own generator on its own thread of this process, CHUNK rounds at a time, so
 transcripts are reproducible whatever the block size and the number of spans.
 
 A round is stored as one int8 cell code, ``2 * branch + second``.  The branch
-(see ``_BRANCHES``) fixes Bob's choice, Alice's basis and, on SIFT rounds,
+(see ``_ROW_SUFFIX``) fixes Bob's choice, Alice's basis and, on SIFT rounds,
 Bob's bit; ``second`` is 1 when Alice saw the second outcome of her basis
 (1 or -).  Cells 0-3 are the SIFT-Z rounds, where Bob's bit is ``cell >> 1``
 and Alice's is ``cell & 1``.
@@ -31,11 +31,6 @@ import numpy as np
 
 from . import fileio
 from .attacks import STAT_FIELDS, RestrictedAttack, cell_probabilities
-
-SIFT = "SIFT"
-CTRL = "CTRL"
-BASIS_Z = "Z"
-BASIS_X = "X"
 
 ABORT_TOO_FEW_SIFT_Z = "TOO_FEW_SIFT_Z"
 ABORT_CTRL_X_NOISE = "CTRL_X_NOISE"
@@ -55,22 +50,15 @@ CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 MAX_SPANS = 8
 #: the most rounds one run may have; larger requests are rejected before allocation
 MAX_ROUNDS = 10**8
+#: the error threshold of the CTRL-X and test-bit abort checks
+P_T = 0.1
 
-# (bob_choice, alice_basis, bob_bit) of each branch, in branch order
-_BRANCHES = (
-    (SIFT, BASIS_Z, "0"),
-    (SIFT, BASIS_Z, "1"),
-    (SIFT, BASIS_X, "0"),
-    (SIFT, BASIS_X, "1"),
-    (CTRL, BASIS_Z, ""),
-    (CTRL, BASIS_X, ""),
-)
-_OUTCOMES = {BASIS_Z: ("0", "1"), BASIS_X: ("+", "-")}
-# the CSV row of a round after its index, by cell code
-_ROW_SUFFIX = tuple(
-    f",{choice},{basis},{bit},{outcome}\n"
-    for choice, basis, bit in _BRANCHES
-    for outcome in _OUTCOMES[basis]
+# the CSV row of a round after its index, by cell code: bob_choice,
+# alice_basis, bob_bit (SIFT rounds only) and alice_outcome
+_ROW_SUFFIX = (
+    ",SIFT,Z,0,0\n", ",SIFT,Z,0,1\n", ",SIFT,Z,1,0\n", ",SIFT,Z,1,1\n",
+    ",SIFT,X,0,+\n", ",SIFT,X,0,-\n", ",SIFT,X,1,+\n", ",SIFT,X,1,-\n",
+    ",CTRL,Z,,0\n", ",CTRL,Z,,1\n", ",CTRL,X,,+\n", ",CTRL,X,,-\n",
 )
 # the same endings as 16-byte records of four NULs and the ending; CTRL
 # endings are one byte shorter and end in a NUL pad byte
@@ -146,7 +134,6 @@ class ProtocolConfig:
     n: int
     seed: int
     delta: float = 0.25
-    p_t: float = 0.1
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
@@ -155,8 +142,6 @@ class ProtocolConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 0.0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
-        if not 0.0 < self.p_t < 0.5:
-            raise ValueError(f"error threshold p_t must lie in (0, 1/2), got {self.p_t!r}")
         # n is checked first: 8 * n cannot overflow a float once n <= MAX_ROUNDS
         if self.n > MAX_ROUNDS or 8 * self.n * (1.0 + self.delta) > MAX_ROUNDS:
             raise ValueError(
@@ -351,9 +336,9 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
         test_cells = sz_cells[rng.choice(sz_cells.size, size=n, replace=False)]
         test_error = int(np.count_nonzero((test_cells & 1) != (test_cells >> 1))) / n
         # the CTRL-X error rate is the p_e_minus estimate; NaN, for no CTRL-X round, never aborts
-        if _estimates(table)[0][5] > cfg.p_t:
+        if _estimates(table)[0][5] > P_T:
             abort = ABORT_CTRL_X_NOISE
-        elif test_error > cfg.p_t:
+        elif test_error > P_T:
             abort = ABORT_TEST_BIT_NOISE
 
     return ProtocolTranscript(cells=cells, table=table, test_bit_error_rate=test_error, abort_reason=abort)

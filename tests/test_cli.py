@@ -99,10 +99,10 @@ BOUND_CALLS = (
     ("bound", "--stats", "{stats}"),
     ("bound", "--attack", "{attack}"),
     ("simulate", "--n", "2000", "--seed", "3", "--q", "0.05", "--b", "0.1"),
-    ("simulate", "--n", "2000", "--seed", "4", "--attack", "{attack}", "--pt", "0.49"),
+    ("simulate", "--n", "2000", "--seed", "4", "--attack", "{attack}"),
     # estimates outside the invariants: bound=none and the message
-    ("simulate", "--n", "5", "--seed", "25", "--q", "0.05", "--b", "0.1", "--pt", "0.49"),
-    ("simulate", "--n", "2", "--seed", "0", "--q", "0.05", "--b", "0.1", "--pt", "0.49"),
+    ("simulate", "--n", "5", "--seed", "25", "--q", "0.05", "--b", "0.1"),
+    ("simulate", "--n", "2", "--seed", "0", "--q", "0.05", "--b", "0.1"),
 )
 BOUND_FILES = {
     "stats": "b=0.1\np00=0.585\np01=0.01\np10=0.015\np11=0.39\np_e_minus=0.0346\np0_plus=0.3\np1_plus=0.2\n",
@@ -110,8 +110,9 @@ BOUND_FILES = {
     "attack": "b=-0.15\nd=1\ne00=0.96,0\ne01=0.28,0\ne10=-0.28,0\ne11=0.96,0\n",
 }
 # sha256 of the exit code and stdout of every call above, as they were
-# printed while one point of statistics was a class of its own
-BOUND_SHA256 = "4b92860dd8f42bfa061bd93fea27edfdfb8ab12f1cdf04404ecf5611b79e04f8"
+# printed while one point of statistics was a class of its own, except that
+# the attack run aborts on its CTRL-X rate of 0.179 (abort line and exit code)
+BOUND_SHA256 = "c90647fbb3dd235eb2d18b57b3d210c9842586c4a56491ab2e77dfbf52796b80"
 
 
 def test_bound_and_simulate_stdout_is_byte_identical(capsys, tmp_path):
@@ -478,7 +479,7 @@ def test_simulate_noiseless(capsys):
 
 def test_simulate_abort_exit_code(capsys):
     code, out, _ = run_cli(
-        capsys, "simulate", "--n", "1000", "--seed", "7", "--q", "0.9", "--b", "0", "--pt", "0.1")
+        capsys, "simulate", "--n", "1000", "--seed", "7", "--q", "0.9", "--b", "0")
     assert code == 2
     assert kv(out)["abort"] in ("CTRL_X_NOISE", "TEST_BIT_NOISE")
 
@@ -567,7 +568,7 @@ def test_simulate_with_attack_file(capsys, tmp_path):
     path = tmp_path / "attack.txt"
     save_attack(random_attack(np.random.default_rng(3), ancilla_dim=2), path)
     code, out, _ = run_cli(
-        capsys, "simulate", "--n", "300", "--seed", "5", "--attack", str(path), "--pt", "0.49")
+        capsys, "simulate", "--n", "300", "--seed", "5", "--attack", str(path))
     values = kv(out)
     assert code in (0, 2)
     assert values["rounds"] == "3000"
@@ -731,7 +732,9 @@ def test_unknown_subcommand_exits_one(capsys):
      "sqkd simulate: error: argument --n: invalid int value: '1.5'"),
     (("bogus",), "sqkd: error: argument command: invalid choice: 'bogus'"),
     (("bound", "--b", "0.1", "--bogus", "1"), "sqkd: error: unrecognized arguments: --bogus 1"),
-], ids=["bad int", "unknown subcommand", "unknown flag"])
+    (("simulate", "--n", "10", "--seed", "1", "--q", "0", "--b", "0", "--pt", "0.2"),
+     "sqkd: error: unrecognized arguments: --pt 0.2"),
+], ids=["bad int", "unknown subcommand", "unknown flag", "removed threshold flag"])
 def test_argparse_errors_are_one_line(capsys, argv, message):
     # argparse's own errors follow the CLI contract: exit 1, no usage text
     code, out, err = run_cli(capsys, *argv)

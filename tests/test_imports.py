@@ -9,6 +9,8 @@ import ast
 import pathlib
 import sys
 
+from sqkd import cli
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -111,6 +113,17 @@ def test_every_protocol_config_field_is_set_by_simulate():
     fields = dataclass_fields("ProtocolConfig")
     assert fields[:2] == ["n", "seed"]
     assert call.args == [] and sorted(k.arg for k in call.keywords) == sorted(fields)
+
+
+def test_every_parsed_option_is_read():
+    # an option that cli.py never reads as args.<dest> is a flag that changes nothing
+    tree = ast.parse((ROOT / "src" / "sqkd" / "cli.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args" and isinstance(node.ctx, ast.Load)}
+    options = [(command, action.dest) for command, parser in cli.build_parser().commands.items()
+               for action in parser._actions if action.dest != "help"]
+    assert len(options) > 15
+    assert [option for option in options if option[1] not in read] == []
 
 
 def test_every_protocol_transcript_field_is_read():

@@ -24,9 +24,7 @@ from sqkd.protocol import (
     ABORT_CTRL_X_NOISE,
     ABORT_TEST_BIT_NOISE,
     ABORT_TOO_FEW_SIFT_Z,
-    CTRL,
     MAX_ROUNDS,
-    SIFT,
     TRANSCRIPT_HEADER,
     ProtocolConfig,
     _ROW_SUFFIX,
@@ -51,8 +49,6 @@ def test_config_validation():
         ProtocolConfig(n=10, seed=-1)
     with pytest.raises(ValueError):
         ProtocolConfig(n=10, seed=0, delta=0.0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(n=10, seed=0, p_t=0.5)
     # the round cap is checked before anything is allocated, also where
     # 8 n (1 + delta) overflows a float
     assert ProtocolConfig(n=MAX_ROUNDS // 10, seed=0).n_rounds == MAX_ROUNDS
@@ -104,14 +100,14 @@ def fill_with(crafted):
 # 300 rounds: 200 SIFT-Z rounds of two cells, where (0, 3) agree and (1, 2)
 # disagree, then `ctrl_x` CTRL-X rounds of which `minus` saw -, then CTRL-Z
 @pytest.mark.parametrize("sift_z, ctrl_x, minus, abort", [
-    ((0, 3), 100, 10, None),  # 10 / 100 is the double 0.1 = p_t, and the check is strict
+    ((0, 3), 100, 10, None),  # 10 / 100 is the double 0.1 = P_T, and the check is strict
     ((0, 3), 100, 11, ABORT_CTRL_X_NOISE),
     ((1, 2), 100, 11, ABORT_CTRL_X_NOISE),  # checked before the test bits
     ((1, 2), 0, 0, ABORT_TEST_BIT_NOISE),  # no CTRL-X round: NaN does not abort
     ((0, 3), 0, 0, None),
 ], ids=["at p_t", "one more -", "one more - and test-bit noise", "no CTRL-X and test-bit noise", "no CTRL-X"])
 def test_the_ctrl_x_rate_aborts_only_above_the_threshold(monkeypatch, sift_z, ctrl_x, minus, abort):
-    cfg = ProtocolConfig(n=30, seed=6, p_t=0.1)
+    cfg = ProtocolConfig(n=30, seed=6)
     crafted = np.array([*sift_z] * 100 + [11] * minus + [10] * (ctrl_x - minus), dtype=np.int8)
     crafted = np.concatenate([crafted, np.full(cfg.n_rounds - crafted.size, 8, dtype=np.int8)])
     monkeypatch.setattr(sqkd.protocol, "_fill", fill_with(crafted))
@@ -126,7 +122,7 @@ def test_the_ctrl_x_rate_aborts_only_above_the_threshold(monkeypatch, sift_z, ct
 
 
 def test_noiseless_run_gives_identical_keys():
-    cfg = ProtocolConfig(n=1000, seed=3, p_t=0.05)
+    cfg = ProtocolConfig(n=1000, seed=3)
     tr = run_protocol(cfg, IDENTITY)
     assert tr.abort_reason is None
     assert tr.estimates()[0][P_E_MINUS] == 0.0  # the CTRL-X error rate
@@ -170,7 +166,7 @@ def test_estimates_track_analytic_statistics():
 
 
 def test_noisy_channel_aborts():
-    tr = run_protocol(ProtocolConfig(n=1000, seed=5, p_t=0.1), depolarizing_attack(0.0, 0.9))
+    tr = run_protocol(ProtocolConfig(n=1000, seed=5), depolarizing_attack(0.0, 0.9))
     assert tr.abort_reason in (ABORT_CTRL_X_NOISE, ABORT_TEST_BIT_NOISE)
     assert tr.estimates()[0][P_E_MINUS] > 0.1 or tr.test_bit_error_rate > 0.1
 
@@ -188,16 +184,18 @@ def test_too_few_sift_z_aborts_first(monkeypatch):
     assert_split_matches_the_reference(tr, cfg)
 
 
-def test_no_abort_for_noiseless_channel_at_any_threshold():
+def test_no_abort_for_noiseless_channel_at_any_threshold(monkeypatch):
     for p_t in (0.01, 0.05, 0.2, 0.49):
+        monkeypatch.setattr(sqkd.protocol, "P_T", p_t)
         for n in (100, 500):
-            tr = run_protocol(ProtocolConfig(n=n, seed=21, p_t=p_t), IDENTITY)
+            tr = run_protocol(ProtocolConfig(n=n, seed=21), IDENTITY)
             assert tr.abort_reason is None
 
 
-def test_key_disagreement_matches_error_probability():
+def test_key_disagreement_matches_error_probability(monkeypatch):
+    monkeypatch.setattr(sqkd.protocol, "P_T", 0.2)
     atk = depolarizing_attack(0.0, 0.2)
-    cfg = ProtocolConfig(n=20_000, seed=13, p_t=0.2)
+    cfg = ProtocolConfig(n=20_000, seed=13)
     tr = run_protocol(cfg, atk)
     assert tr.abort_reason is None
     _, alice, bob = reference_split(tr, cfg)
@@ -209,7 +207,7 @@ def test_key_disagreement_matches_error_probability():
 
 def test_bit_flip_attack_flips_every_key_bit():
     atk = RestrictedAttack(0.0, e00=[0.0], e01=[1.0], e10=[1.0], e11=[0.0])  # bit flip
-    cfg = ProtocolConfig(n=50, seed=2, p_t=0.49)
+    cfg = ProtocolConfig(n=50, seed=2)
     tr = run_protocol(cfg, atk)
     # every sifted Z round disagrees, so the test-bit check must fire
     assert tr.abort_reason == ABORT_TEST_BIT_NOISE
@@ -316,7 +314,8 @@ def reference_fill(seed, start, stop, cuts, first_cell, p_first, cells, counts, 
 def test_integer_draws_match_a_reference_that_draws_doubles(monkeypatch, b, q):
     monkeypatch.setattr(sqkd.protocol, "SPAN", 1)
     monkeypatch.setattr(sqkd.protocol, "CORES", 2)
-    cfg, atk = ProtocolConfig(n=2000, seed=43, p_t=0.3), depolarizing_attack(b, q)
+    monkeypatch.setattr(sqkd.protocol, "P_T", 0.3)
+    cfg, atk = ProtocolConfig(n=2000, seed=43), depolarizing_attack(b, q)
     tr = run_protocol(cfg, atk)
     monkeypatch.setattr(sqkd.protocol, "_fill", reference_fill)
     ref = run_protocol(cfg, atk)
@@ -395,10 +394,10 @@ def test_round_records_are_consistent(tmp_path):
     rows, _ = read_export(tmp_path / "t.csv")
     assert [int(row[0]) for row in rows] == list(range(tr.n_rounds))
     for _, choice, basis, bit, outcome in rows:
-        if choice == SIFT:
+        if choice == "SIFT":
             assert bit in ("0", "1")
         else:
-            assert choice == CTRL
+            assert choice == "CTRL"
             assert bit == ""
         if basis == "Z":
             assert outcome in ("0", "1")
@@ -572,23 +571,23 @@ def test_summary_matches_an_independent_tally_of_the_rows(tmp_path, cfg, q, b):
                    if (row_choice, row_basis) == (choice, basis)
                    and bit in (None, row_bit) and outcome in (None, row_outcome))
 
-    sz, sx, cz, cx = count(SIFT, "Z"), count(SIFT, "X"), count(CTRL, "Z"), count(CTRL, "X")
+    sz, sx, cz, cx = count("SIFT", "Z"), count("SIFT", "X"), count("CTRL", "Z"), count("CTRL", "X")
     assert (tr.sift_z_count, tr.sift_x_count, tr.ctrl_z_count, tr.ctrl_x_count) == (sz, sx, cz, cx)
     assert [summary[k] for k in ("sift_z_count", "sift_x_count", "ctrl_z_count", "ctrl_x_count")] == [
         str(sz), str(sx), str(cz), str(cx)]
     value, se = tr.estimates()
-    assert value[P_E_MINUS] == count(CTRL, "X", outcome="-") / cx
-    assert summary["ctrl_x_error_rate"] == fmt(count(CTRL, "X", outcome="-") / cx)
+    assert value[P_E_MINUS] == count("CTRL", "X", outcome="-") / cx
+    assert summary["ctrl_x_error_rate"] == fmt(count("CTRL", "X", outcome="-") / cx)
     # each estimate's count and the size m of its conditioning class
     want = {
-        "bias": (count(SIFT, "Z", "0") + count(SIFT, "X", "0"), sz + sx),
-        "p00": (count(SIFT, "Z", "0", "0"), sz),
-        "p01": (count(SIFT, "Z", "1", "0"), sz),
-        "p10": (count(SIFT, "Z", "0", "1"), sz),
-        "p11": (count(SIFT, "Z", "1", "1"), sz),
-        "p_e_minus": (count(CTRL, "X", outcome="-"), cx),
-        "p0_plus": (count(SIFT, "X", "0", "+"), sx),
-        "p1_plus": (count(SIFT, "X", "1", "+"), sx),
+        "bias": (count("SIFT", "Z", "0") + count("SIFT", "X", "0"), sz + sx),
+        "p00": (count("SIFT", "Z", "0", "0"), sz),
+        "p01": (count("SIFT", "Z", "1", "0"), sz),
+        "p10": (count("SIFT", "Z", "0", "1"), sz),
+        "p11": (count("SIFT", "Z", "1", "1"), sz),
+        "p_e_minus": (count("CTRL", "X", outcome="-"), cx),
+        "p0_plus": (count("SIFT", "X", "0", "+"), sx),
+        "p1_plus": (count("SIFT", "X", "1", "+"), sx),
     }
     assert list(want) == list(STAT_FIELDS)
     for i, (name, (k, m)) in enumerate(want.items()):
