@@ -179,6 +179,28 @@ class Statistics:
             object.__setattr__(self, name, row)
 
 
+# the cells each statistic counts and the cells of its conditioning class, one
+# row per statistic in STAT_FIELDS order; the columns are the 12 cell codes of
+# ``cell_probabilities``: SIFT-Z (Bob, Alice) = 00, 01, 10, 11, SIFT-X
+# (Bob, Alice) = 0+, 0-, 1+, 1-, CTRL-Z 0, 1 and CTRL-X +, -
+_COUNTED = np.array([
+    [1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0],  # bias + 1/2: Bob's bit 0
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # p00
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # p01
+    [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # p10
+    [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],  # p11
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],  # p_e_minus
+    [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],  # p0_plus
+    [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],  # p1_plus
+])
+_CLASS = np.array([
+    [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0],  # bias: the measured rounds
+    *[[1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]] * 4,  # p00 ... p11: SIFT-Z
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],  # p_e_minus: CTRL-X
+    *[[0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0]] * 2,  # p0_plus, p1_plus: SIFT-X
+])
+
+
 def cell_probabilities(attack: RestrictedAttack) -> np.ndarray:
     """The law of a round: the probability of each of the 12 cells given its
     branch, in cell-code order (see ``sqkd.protocol``).  For Bob's bit j, Alice
@@ -198,20 +220,12 @@ def cell_probabilities(attack: RestrictedAttack) -> np.ndarray:
 
 
 def compute_statistics(attack: RestrictedAttack) -> Statistics:
-    """Exact observable statistics of an attack, as one point: its SIFT cell
-    probabilities weighted by Bob's bit, 1/2 ± b, and its CTRL-X - cell."""
+    """Exact observable statistics of an attack, as one point: the probability
+    of each statistic's counted cell (``_COUNTED``) given its branch, weighted
+    by Bob's bit, 1/2 ± b, on SIFT rounds."""
     a2, b2 = 0.5 + attack.bias, 0.5 - attack.bias
-    c = cell_probabilities(attack)
-    return Statistics(
-        bias=attack.bias,
-        p00=a2 * c[0],
-        p01=b2 * c[2],
-        p10=a2 * c[1],
-        p11=b2 * c[3],
-        p_e_minus=c[11],
-        p0_plus=a2 * c[4],
-        p1_plus=b2 * c[6],
-    )
+    shares = np.array([a2, a2, b2, b2, a2, a2, b2, b2, 1, 1, 1, 1]) * cell_probabilities(attack)
+    return Statistics(attack.bias, *(_COUNTED[1:] @ shares))
 
 
 # ---------------------------------------------------------------------------

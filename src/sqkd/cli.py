@@ -150,18 +150,14 @@ def cmd_simulate(args) -> tuple[int, list]:
         if args.export is not None:
             transcript.to_csv(args.export)
     items = transcript.summary_items()
-    estimate, _ = transcript.estimates()
-    if np.isnan(estimate).any():
-        items.append(("bound", None))
+    try:  # an estimate of an empty class is NaN, which Statistics rejects
+        report = keyrate.key_rate_bound(attacks.Statistics(*transcript.estimates()[0]))
+    except ValueError as exc:
+        items += [("bound", None), ("bound_error", exc)]
     else:
-        try:
-            report = keyrate.key_rate_bound(attacks.Statistics(*estimate))
-        except ValueError as exc:
-            items += [("bound", None), ("bound_error", exc)]
-        else:
-            # prefixed, since the transcript summary has an abort key too
-            items += [(key if key == "bound" else f"bound_{key}", value)
-                      for key, value in keyrate.report_items(report)]
+        # prefixed, since the transcript summary has an abort key too
+        items += [(key if key == "bound" else f"bound_{key}", value)
+                  for key, value in keyrate.report_items(report)]
     return (EXIT_ABORT if transcript.abort_reason else EXIT_OK), items
 
 

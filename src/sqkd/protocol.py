@@ -25,12 +25,13 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fileio
-from .attacks import STAT_FIELDS, RestrictedAttack, cell_probabilities
+from .attacks import _CLASS, _COUNTED, STAT_FIELDS, RestrictedAttack, cell_probabilities
 
 ABORT_TOO_FEW_SIFT_Z = "TOO_FEW_SIFT_Z"
 ABORT_CTRL_X_NOISE = "CTRL_X_NOISE"
@@ -89,28 +90,9 @@ def _layout(width: int) -> tuple[np.dtype, np.ndarray]:
 
 
 _LAYOUTS = {width: _layout(width) for width in range(1, len(str(MAX_ROUNDS - 1)) + 1)}
-# branch by 4 * sift + 2 * (alice_basis == X) + bob_bit; CTRL rounds ignore the bit
-_BRANCH_OF = np.array([4, 4, 5, 5, 0, 1, 2, 3], dtype=np.int8)
-# the cells each estimate counts and the cells of its conditioning class, one
-# row per estimate in STAT_FIELDS order; the columns are the 12 cell codes:
-# SIFT-Z (Bob, Alice) = 00, 01, 10, 11, SIFT-X (Bob, Alice) = 0+, 0-, 1+, 1-,
-# CTRL-Z 0, 1 and CTRL-X +, -
-_COUNTED = np.array([
-    [1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0],  # bias + 1/2: Bob's bit 0
-    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # p00
-    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # p01
-    [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],  # p10
-    [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],  # p11
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],  # p_e_minus
-    [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],  # p0_plus
-    [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],  # p1_plus
-])
-_CLASS = np.array([
-    [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0],  # bias: the measured rounds
-    *[[1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]] * 4,  # p00 ... p11: SIFT-Z
-    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],  # p_e_minus: CTRL-X
-    *[[0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0]] * 2,  # p0_plus, p1_plus: SIFT-X
-])
+# the first cell of each packed choice, 4 * sift + 2 * (alice_basis == X) +
+# bob_bit, in cell-code order; CTRL rounds ignore the bit
+_FIRST_CELL = np.array([8, 8, 10, 10, 0, 2, 4, 6], dtype=np.int8)
 
 
 def _estimates(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,24 +201,23 @@ class ProtocolTranscript:
         """Write one row per round plus the summary block as '#' comments."""
         with open(path, "wb") as fh:
             fh.write(f"{TRANSCRIPT_HEADER}\n".encode())
-            for start in range(0, self.n_rounds, _BLOCK):
-                fh.write(_rows(start, self.cells[start:start + _BLOCK]))
+            fh.writelines(_rows(0, self.cells))
             summary = fileio.kv_text(self.summary_items())
             fh.write("".join(f"# {line}\n" for line in summary.splitlines()).encode())
 
 
-def _rows(start: int, cells: np.ndarray) -> bytes:
-    """CSV rows of the rounds start, start + 1, ... whose cell codes are ``cells``.
+def _rows(start: int, cells: np.ndarray) -> Iterator[bytes]:
+    """CSV rows of the rounds start, start + 1, ... whose cell codes are
+    ``cells``, one index block at a time.
 
-    The rows are built one index block at a time: a run of indices of one
-    width that share the digits above the last four, so a block ends at each
-    power of ten and each multiple of 10**4.  Each row of a block is one
-    record (see ``_layout``): the ending is gathered by cell code, the high
-    digits are one constant and the last digits a slice of the digit table.
-    The NULs left, the pad byte of CTRL endings and those before an index
-    below 1000, never occur in a row, so deleting every NUL leaves the rows.
+    A block is a run of indices of one width that share the digits above the
+    last four, so a block ends at each power of ten and each multiple of
+    10**4.  Each row of a block is one record (see ``_layout``): the ending is
+    gathered by cell code, the high digits are one constant and the last
+    digits a slice of the digit table.  The NULs left, the pad byte of CTRL
+    endings and those before an index below 1000, never occur in a row, so
+    deleting every NUL leaves the rows.
     """
-    blocks = []
     stop = start + cells.size
     a = start
     while a < stop:
@@ -247,9 +228,8 @@ def _rows(start: int, cells: np.ndarray) -> bytes:
         records["tail"] = _ROW_END[cells[a - start:b - start].astype(np.intp)]  # numpy gathers fastest by intp
         records["high"] = int.from_bytes(str(a)[:-4].encode(), "little")
         records["low"] = last_digits[a % _BLOCK:a % _BLOCK + b - a]
-        blocks.append(records.tobytes().replace(b"\0", b""))
+        yield records.tobytes().replace(b"\0", b"")
         a = b
-    return b"".join(blocks)
 
 
 def _thresholds(p) -> np.ndarray:
@@ -258,26 +238,27 @@ def _thresholds(p) -> np.ndarray:
     return np.ceil(np.multiply(p, 2.0**53)).astype(np.uint64)
 
 
-def _fill(seed: int, start: int, stop: int, cuts: tuple[float, float, float], first_cell: np.ndarray,
-          p_first: np.ndarray, cells: np.ndarray, counts: np.ndarray, sift_z: list) -> None:
+#: the threshold of the two fair choices, Bob's SIFT and Alice's Z basis
+_HALF = _thresholds(0.5)
+
+
+def _fill(seed: int, start: int, stop: int, k_bit: np.uint64, k_first: np.ndarray,
+          cells: np.ndarray, counts: np.ndarray, sift_z: list) -> None:
     """Draw and classify rounds [start, stop) into ``cells[start:stop]``, add
     their number in each cell to ``counts`` and append their SIFT-Z cells to
-    ``sift_z``.  The generator is jumped to round ``start``; ``cuts`` holds
-    the SIFT cut, the Z cut and the bit cut 1/2 + b, and ``first_cell`` and
-    ``p_first`` the first cell and the first-outcome probability of each
-    packed choice.
+    ``sift_z``.  The generator is jumped to round ``start``; ``k_bit`` is the
+    threshold of Bob's bit, 1/2 + b, and ``k_first`` that of the first
+    outcome of each packed choice.
     """
-    k_sift, k_z, k_bit = _thresholds(cuts)
-    k_first = _thresholds(p_first)
     bitgen = np.random.Philox(seed).advance(start)
     for a in range(start, stop, CHUNK):
         k = bitgen.random_raw(4 * min(CHUNK, stop - a)).reshape(-1, 4)
         k >>= 11
-        packed = (k[:, 0] < k_sift).view(np.uint8) << 2
-        packed |= (k[:, 1] >= k_z).view(np.uint8) << 1
+        packed = (k[:, 0] < _HALF).view(np.uint8) << 2
+        packed |= (k[:, 1] >= _HALF).view(np.uint8) << 1
         packed |= (k[:, 2] >= k_bit).view(np.uint8)
         packed = packed.astype(np.intp)
-        block = first_cell[packed] + (k[:, 3] >= k_first[packed])
+        block = _FIRST_CELL[packed] + (k[:, 3] >= k_first[packed])
         del k  # the next chunk's words are drawn only after these are freed
         cells[a:a + block.size] = block
         counts += np.bincount(block, minlength=12)
@@ -291,9 +272,9 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     (cfg, attack) pairs produce bit-identical transcripts.
     """
     n, n_rounds = cfg.n, cfg.n_rounds
-
-    # probability of the first outcome (0 for Z, + for X) on each branch
-    p_first = np.clip(cell_probabilities(attack)[0::2], 0.0, 1.0)
+    # the thresholds of Bob's bit and of the first outcome (0 for Z, + for X) of each packed choice
+    k_bit = _thresholds(0.5 + attack.bias)
+    k_first = _thresholds(np.clip(cell_probabilities(attack)[_FIRST_CELL], 0.0, 1.0))
 
     # spans 1 ... w-1 run on threads, span 0 on this one; a run too short for
     # two spans, or a single core, starts no thread
@@ -302,12 +283,11 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     cells = np.empty(n_rounds, dtype=np.int8)
     counts = np.zeros((w, 12), dtype=np.int64)
     sift_z = [[] for _ in range(w)]
-    shared = ((0.5, 0.5, 0.5 + attack.bias), 2 * _BRANCH_OF, p_first[_BRANCH_OF], cells)
     errors = [None] * w
 
     def span(k):
         try:
-            _fill(cfg.seed, ends[k], ends[k + 1], *shared, counts[k], sift_z[k])
+            _fill(cfg.seed, ends[k], ends[k + 1], k_bit, k_first, cells, counts[k], sift_z[k])
         except BaseException as exc:  # re-raised by the caller once every span has ended
             errors[k] = exc
 

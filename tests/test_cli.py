@@ -115,6 +115,12 @@ BOUND_FILES = {
 BOUND_SHA256 = "c90647fbb3dd235eb2d18b57b3d210c9842586c4a56491ab2e77dfbf52796b80"
 
 
+def says_why_there_is_no_bound(out):
+    """Whether a stdout that prints bound=none also prints a bound_error= line."""
+    lines = out.splitlines()
+    return "bound=none" not in lines or any(line.startswith("bound_error=") for line in lines)
+
+
 def test_bound_and_simulate_stdout_is_byte_identical(capsys, tmp_path):
     paths = {}
     for name, text in BOUND_FILES.items():
@@ -124,6 +130,7 @@ def test_bound_and_simulate_stdout_is_byte_identical(capsys, tmp_path):
     for argv in BOUND_CALLS:
         code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
         assert err == ""
+        assert says_why_there_is_no_bound(out)
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == BOUND_SHA256
 
@@ -485,7 +492,8 @@ def test_simulate_abort_exit_code(capsys):
 
 
 # a run of nine rounds with no CTRL-X round: p_e_minus has an empty class, so
-# it has no value and no standard error, and no bound is taken
+# it has no value and no standard error, and no bound is taken, which
+# bound_error explains
 EMPTY_CLASS_STDOUT = """\
 rounds=9
 sift_z_count=6
@@ -511,6 +519,7 @@ p0_plus_se=0
 p1_plus=0.5
 p1_plus_se=0.353553390593
 bound=none
+bound_error=p_e_minus must lie in [0, 1], got nan
 """
 
 
@@ -518,6 +527,7 @@ def test_simulate_with_an_empty_estimate_class_prints_none(capsys):
     code, out, err = run_cli(capsys, "simulate", "--n", "1", "--seed", "10", "--q", "0.05", "--b", "0.1",
                              "--delta", "1e-3")
     assert (code, out, err) == (0, EMPTY_CLASS_STDOUT, "")
+    assert says_why_there_is_no_bound(out)
 
 
 def test_simulate_export_is_deterministic(capsys, tmp_path):

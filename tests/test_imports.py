@@ -238,6 +238,21 @@ def passed_arguments(call, function):
     return passed
 
 
+def test_no_call_in_src_splats_into_a_private_function():
+    # a starred argument hides which parameter each value fills, so the check
+    # below cannot match it to the parameters and skips the function
+    splats = []
+    for path in sorted((ROOT / "src" / "sqkd").glob("*.py")):
+        calls = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)]
+        for call in calls:
+            name = getattr(call.func, "id", getattr(call.func, "attr", ""))
+            private = name.startswith("_") and not name.endswith("__")
+            if private and (any(isinstance(arg, ast.Starred) for arg in call.args)
+                            or any(keyword.arg is None for keyword in call.keywords)):
+                splats.append((path.name, call.lineno, name))
+    assert splats == []
+
+
 def test_no_private_function_takes_the_same_constant_at_every_call():
     # a parameter that every caller fills with one constant states that
     # constant once per call site; the function should hold it instead

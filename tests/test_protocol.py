@@ -88,7 +88,7 @@ def assert_split_matches_the_reference(tr, cfg):
 def fill_with(crafted):
     """A ``_fill`` that writes the cells ``crafted`` in place of drawn rounds."""
 
-    def fill(seed, start, stop, cuts, first_cell, p_first, cells, counts, sift_z):
+    def fill(seed, start, stop, k_bit, k_first, cells, counts, sift_z):
         block = crafted[start:stop]
         cells[start:stop] = block
         counts += np.bincount(block, minlength=12)
@@ -291,21 +291,31 @@ def test_raw_words_give_the_doubles_of_generator_random(start):
     assert np.array_equal((words >> 11) * 2.0**-53, doubles)
 
 
-def classify(u, cuts, first_cell, p_first):
+# the first cell of each packed choice, 4 * sift + 2 * (alice_basis == X) + bob_bit
+FIRST_CELL = np.array([8, 8, 10, 10, 0, 2, 4, 6])
+
+
+def classify(u, bit_cut, p_first):
     """The cell codes of rounds whose four uniforms are the rows of ``u``,
-    from the doubles compared with the probabilities themselves."""
-    p_sift, p_z, bit_cut = cuts
-    packed = 4 * (u[:, 0] < p_sift) + 2 * (u[:, 1] >= p_z) + (u[:, 2] >= bit_cut)
-    return first_cell[packed] + (u[:, 3] >= p_first[packed])
+    from the doubles compared with the probabilities themselves; ``p_first``
+    is the first-outcome probability of each packed choice."""
+    packed = 4 * (u[:, 0] < 0.5) + 2 * (u[:, 1] >= 0.5) + (u[:, 2] >= bit_cut)
+    return FIRST_CELL[packed] + (u[:, 3] >= p_first[packed])
 
 
-def reference_fill(seed, start, stop, cuts, first_cell, p_first, cells, counts, sift_z):
-    """``_fill`` as it drew before integer thresholds, with Generator.random's doubles."""
-    u = np.random.Generator(np.random.Philox(seed).advance(start)).random((stop - start, 4))
-    block = classify(u, cuts, first_cell, p_first)
-    cells[start:stop] = block
-    counts += np.bincount(block, minlength=12)
-    sift_z.append(block[block < 4])
+def reference_fill(atk):
+    """``_fill`` as it drew before integer thresholds, with Generator.random's
+    doubles compared with the probabilities of ``atk``."""
+    p_first = np.clip(cell_probabilities(atk)[FIRST_CELL], 0.0, 1.0)
+
+    def fill(seed, start, stop, k_bit, k_first, cells, counts, sift_z):
+        u = np.random.Generator(np.random.Philox(seed).advance(start)).random((stop - start, 4))
+        block = classify(u, 0.5 + atk.bias, p_first)
+        cells[start:stop] = block
+        counts += np.bincount(block, minlength=12)
+        sift_z.append(block[block < 4])
+
+    return fill
 
 
 # b = +-1/2 puts the bit cut at 1 or 0, and the identity attack puts
@@ -317,20 +327,21 @@ def test_integer_draws_match_a_reference_that_draws_doubles(monkeypatch, b, q):
     monkeypatch.setattr(sqkd.protocol, "P_T", 0.3)
     cfg, atk = ProtocolConfig(n=2000, seed=43), depolarizing_attack(b, q)
     tr = run_protocol(cfg, atk)
-    monkeypatch.setattr(sqkd.protocol, "_fill", reference_fill)
+    monkeypatch.setattr(sqkd.protocol, "_fill", reference_fill(atk))
     ref = run_protocol(cfg, atk)
     assert np.array_equal(tr.cells, ref.cells) and np.array_equal(tr.table, ref.table)
     assert tr.abort_reason == ref.abort_reason and tr.test_bit_error_rate == ref.test_bit_error_rate
     assert_split_matches_the_reference(tr, cfg)
 
 
-@pytest.mark.parametrize("cuts", [(1 / 3, 0.7, 0.45), (2.0**-53, 1 - 2.0**-53, 0.0), (0.5, 0.5, 1.0)])
-def test_words_at_the_thresholds_decide_as_the_doubles(monkeypatch, cuts):
-    # the top 53 bits of each word sit at a threshold or next to it, and the
-    # eleven low bits, which the draw drops, are all set
+# the ids are those of the cases when each also set the SIFT and Z cuts
+@pytest.mark.parametrize("bit_cut", [0.45, 0.0, 1.0], ids=["cuts0", "cuts1", "cuts2"])
+def test_words_at_the_thresholds_decide_as_the_doubles(monkeypatch, bit_cut):
+    # the top 53 bits of each word sit at a threshold or next to it, 2**52
+    # for the fair choices, and the eleven low bits, which the draw drops, are all set
     p_first = np.array([1.0, 0.0, 0.1, 2 / 3, 0.5, 1 - 2.0**-53, 0.3, 5e-324])
     near = [sorted({min(max(int(t) + d, 0), 2**53 - 1) for t in _thresholds(ps) for d in (-1, 0, 1)})
-            for ps in ([cuts[0]], [cuts[1]], [cuts[2]], p_first)]
+            for ps in ([0.5], [0.5], [bit_cut], p_first)]
     k = np.array(np.meshgrid(*near, indexing="ij"), dtype=np.uint64).reshape(4, -1).T
     words = (k << np.uint64(11) | np.uint64(0x7FF)).ravel()
 
@@ -345,10 +356,9 @@ def test_words_at_the_thresholds_decide_as_the_doubles(monkeypatch, cuts):
 
     monkeypatch.setattr(np.random, "Philox", lambda seed: Words())
     monkeypatch.setattr(sqkd.protocol, "CHUNK", 100)
-    first_cell = 2 * sqkd.protocol._BRANCH_OF
     cells, counts, sift_z = np.empty(len(k), dtype=np.int8), np.zeros(12, dtype=np.int64), []
-    sqkd.protocol._fill(0, 0, len(k), cuts, first_cell, p_first, cells, counts, sift_z)
-    want = classify(k * 2.0**-53, cuts, first_cell, p_first)
+    sqkd.protocol._fill(0, 0, len(k), _thresholds(bit_cut), _thresholds(p_first), cells, counts, sift_z)
+    want = classify(k * 2.0**-53, bit_cut, p_first)
     assert np.array_equal(cells, want) and np.array_equal(counts, np.bincount(want, minlength=12))
     assert np.array_equal(np.concatenate(sift_z), want[want < 4])
 
@@ -535,6 +545,11 @@ def test_an_error_in_a_span_is_raised_once_every_span_has_ended(monkeypatch, fai
     assert threading.active_count() == before
 
 
+def block_rows(start, cells):
+    """The rows ``_rows`` writes, its blocks joined."""
+    return b"".join(_rows(start, cells))
+
+
 def reference_rows(start, cells):
     """The per-row writer that the numpy block writer replaced."""
     return "".join(f"{i}{_ROW_SUFFIX[c]}" for i, c in enumerate(cells.tolist(), start)).encode()
@@ -547,16 +562,16 @@ def reference_rows(start, cells):
 def test_block_writer_matches_the_per_row_writer(start):
     size = min(300, MAX_ROUNDS - start)
     cells = np.random.default_rng(start).integers(0, 12, size).astype(np.int8)
-    assert _rows(start, cells) == reference_rows(start, cells)
+    assert block_rows(start, cells) == reference_rows(start, cells)
     for code in np.arange(12, dtype=np.int8):
-        assert _rows(start, np.full(1, code)) == reference_rows(start, np.full(1, code))
-    assert _rows(start, cells[:0]) == b""
+        assert block_rows(start, np.full(1, code)) == reference_rows(start, np.full(1, code))
+    assert block_rows(start, cells[:0]) == b""
 
 
 def test_block_writer_matches_the_per_row_writer_across_several_blocks():
     # 29,990 ... 54,989 crosses three multiples of 10**4
     cells = np.random.default_rng(29990).integers(0, 12, 25000).astype(np.int8)
-    assert _rows(29990, cells) == reference_rows(29990, cells)
+    assert block_rows(29990, cells) == reference_rows(29990, cells)
 
 
 @pytest.mark.parametrize("cfg, q, b", EXPORT_RUNS, ids=EXPORT_IDS)
