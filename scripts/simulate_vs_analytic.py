@@ -26,7 +26,7 @@ def main():
             tr = run_protocol(cfg, attack)
             analytic = compute_statistics(attack)
             print(f"\nb={b}  q={q}  rounds={tr.n_rounds}  abort={tr.abort_reason}")
-            value, se = tr.estimates()
+            value, se = tr.estimates, tr.se
             for name, v, v_se in zip(STAT_FIELDS, value, se):
                 true = b if name == "bias" else getattr(analytic, name)[0]
                 z = abs(v - true) / v_se if v_se else 0.0

@@ -151,7 +151,7 @@ def cmd_simulate(args) -> tuple[int, list]:
             transcript.to_csv(args.export)
     items = transcript.summary_items()
     try:  # an estimate of an empty class is NaN, which Statistics rejects
-        report = keyrate.key_rate_bound(attacks.Statistics(*transcript.estimates()[0]))
+        report = keyrate.key_rate_bound(attacks.Statistics(*transcript.estimates))
     except ValueError as exc:
         items += [("bound", None), ("bound_error", exc)]
     else:

@@ -95,18 +95,6 @@ _LAYOUTS = {width: _layout(width) for width in range(1, len(str(MAX_ROUNDS - 1))
 _FIRST_CELL = np.array([8, 8, 10, 10, 0, 2, 4, 6], dtype=np.int8)
 
 
-def _estimates(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The estimates and standard errors of the 12 cell counts ``table``: each
-    estimate is the share of its counted cells in its conditioning class, NaN
-    for an empty class rather than a fabricated value."""
-    m = _CLASS @ table
-    with np.errstate(invalid="ignore", divide="ignore"):
-        value = _COUNTED @ table / m
-        se = np.sqrt(value * (1.0 - value) / m)
-    value[0] -= 0.5  # the bias is the share of Bob's bit 0, less 1/2
-    return value, se
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters.  Bob sifts and Alice measures in Z with probability 1/2
@@ -141,14 +129,18 @@ class ProtocolTranscript:
     """Outcome of one protocol run.
 
     ``cells`` holds the cell code of every round (see the module docstring)
-    and ``table`` the number of rounds in each of the 12 cells; every count,
-    rate and estimate is read from ``table``.  Error rates are NaN when their
-    conditioning class is empty or the corresponding protocol step was never
-    reached.
+    and ``table`` the number of rounds in each of the 12 cells.  ``estimates``
+    holds the frequency estimates of the observable statistics and ``se``
+    their binomial standard errors, two float64 arrays in STAT_FIELDS order
+    computed once from ``table``.  Estimates and error rates are NaN when
+    their conditioning class is empty or the corresponding protocol step was
+    never reached.
     """
 
     cells: np.ndarray
     table: np.ndarray
+    estimates: np.ndarray
+    se: np.ndarray
     test_bit_error_rate: float
     abort_reason: str | None
 
@@ -156,42 +148,21 @@ class ProtocolTranscript:
     def n_rounds(self) -> int:
         return self.cells.size
 
-    @property
-    def sift_z_count(self) -> int:
-        return int(self.table[0:4].sum())
-
-    @property
-    def sift_x_count(self) -> int:
-        return int(self.table[4:8].sum())
-
-    @property
-    def ctrl_z_count(self) -> int:
-        return int(self.table[8:10].sum())
-
-    @property
-    def ctrl_x_count(self) -> int:
-        return int(self.table[10:12].sum())
-
-    def estimates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frequency estimates of the observable statistics and their binomial
-        standard errors, two float64 arrays in STAT_FIELDS order, NaN for an
-        empty conditioning class (see ``_estimates``)."""
-        return _estimates(self.table)
-
     def summary_items(self) -> list[tuple[str, object]]:
         """Key-value summary: counts, error rates, abort and the estimates."""
-        value, se = self.estimates()
+        # the rounds of each branch: SIFT-Z, SIFT-X, CTRL-Z and CTRL-X
+        sift_z, sift_x, ctrl_z, ctrl_x = np.add.reduceat(self.table, [0, 4, 8, 10]).tolist()
         items = [
             ("rounds", self.n_rounds),
-            ("sift_z_count", self.sift_z_count),
-            ("sift_x_count", self.sift_x_count),
-            ("ctrl_z_count", self.ctrl_z_count),
-            ("ctrl_x_count", self.ctrl_x_count),
-            ("ctrl_x_error_rate", value[5]),
+            ("sift_z_count", sift_z),
+            ("sift_x_count", sift_x),
+            ("ctrl_z_count", ctrl_z),
+            ("ctrl_x_count", ctrl_x),
+            ("ctrl_x_error_rate", self.estimates[5]),
             ("test_bit_error_rate", self.test_bit_error_rate),
             ("abort", self.abort_reason),
         ]
-        for name, v, v_se in zip(STAT_FIELDS, value.tolist(), se.tolist()):
+        for name, v, v_se in zip(STAT_FIELDS, self.estimates.tolist(), self.se.tolist()):
             items.append((name, v))
             if v == v:
                 items.append((f"{name}_se", v_se))
@@ -304,6 +275,13 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
         if exc is not None:
             raise exc
     table = counts.sum(axis=0)
+    # each estimate is the share of its counted cells in its conditioning
+    # class, NaN for an empty class rather than a fabricated value
+    m = _CLASS @ table
+    with np.errstate(invalid="ignore", divide="ignore"):
+        estimates = _COUNTED @ table / m
+        se = np.sqrt(estimates * (1.0 - estimates) / m)
+    estimates[0] -= 0.5  # the bias is the share of Bob's bit 0, less 1/2
 
     sz_cells = np.concatenate([part for parts in sift_z for part in parts])  # in round order
     abort = None
@@ -316,9 +294,10 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
         test_cells = sz_cells[rng.choice(sz_cells.size, size=n, replace=False)]
         test_error = int(np.count_nonzero((test_cells & 1) != (test_cells >> 1))) / n
         # the CTRL-X error rate is the p_e_minus estimate; NaN, for no CTRL-X round, never aborts
-        if _estimates(table)[0][5] > P_T:
+        if estimates[5] > P_T:
             abort = ABORT_CTRL_X_NOISE
         elif test_error > P_T:
             abort = ABORT_TEST_BIT_NOISE
 
-    return ProtocolTranscript(cells=cells, table=table, test_bit_error_rate=test_error, abort_reason=abort)
+    return ProtocolTranscript(cells=cells, table=table, estimates=estimates, se=se,
+                              test_bit_error_rate=test_error, abort_reason=abort)

@@ -198,7 +198,7 @@ def test_criterion_08_monte_carlo_consistency(q, b, seed):
     assert tr.n_rounds == 800_000
     analytic = compute_statistics(attack)
     bad = []
-    value, se = tr.estimates()
+    value, se = tr.estimates, tr.se
     for name, v, v_se in zip(("bias",) + STAT_FIELDS, value, se):
         true = b if name == "bias" else getattr(analytic, name)[0]
         if abs(v - true) > 4 * v_se:

@@ -491,6 +491,16 @@ def test_simulate_abort_exit_code(capsys):
     assert kv(out)["abort"] in ("CTRL_X_NOISE", "TEST_BIT_NOISE")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 19: the abort checks compare fixed error levels, not the key rate")
+def test_simulate_aborts_a_run_whose_bound_is_negative(capsys):
+    # a CTRL-X rate of 9.79% and a test-bit rate of 9.82% lie under P_T = 0.1,
+    # while the bound at the estimates is -0.00914881932723
+    code, out, _ = run_cli(capsys, "simulate", "--q", "0.196", "--b", "0", "--n", "200000", "--seed", "3")
+    values = kv(out)
+    assert float(values["bound"]) < 0
+    assert code == 2 and values["abort"] != "none"
+
+
 # a run of nine rounds with no CTRL-X round: p_e_minus has an empty class, so
 # it has no value and no standard error, and no bound is taken, which
 # bound_error explains

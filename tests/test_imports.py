@@ -93,7 +93,7 @@ def test_every_public_method_in_src_has_a_caller():
     read = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     methods = [(path.stem, *method) for path, tree in trees.items() if path.parent.name == "sqkd"
                for method in public_methods(tree)]
-    assert len(methods) > 10
+    assert {"n_rounds", "summary_items", "to_csv"} <= {method[2] for method in methods}
     assert [method for method in methods if method[2] not in read] == []
 
 
@@ -163,6 +163,14 @@ def test_fragment_overlaps_are_taken_only_by_the_round_law():
               if isinstance(node, ast.Attribute) and node.attr == "vdot"
               and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")}
     assert owners == {("attacks", "attack_deviations"), ("attacks", "cell_probabilities")}
+
+
+def test_the_cell_map_is_read_only_by_the_exact_and_the_estimated_statistics():
+    # a run's estimates are computed once, in run_protocol, and every other
+    # reader takes them from the transcript
+    owners = {(stem, owner) for stem, owner, node in src_nodes()
+              if isinstance(node, ast.Name) and node.id in ("_COUNTED", "_CLASS") and isinstance(node.ctx, ast.Load)}
+    assert owners == {("attacks", "compute_statistics"), ("protocol", "run_protocol")}
 
 
 def test_no_print_in_src_writes_to_stdout():

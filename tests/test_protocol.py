@@ -112,10 +112,10 @@ def test_the_ctrl_x_rate_aborts_only_above_the_threshold(monkeypatch, sift_z, ct
     crafted = np.concatenate([crafted, np.full(cfg.n_rounds - crafted.size, 8, dtype=np.int8)])
     monkeypatch.setattr(sqkd.protocol, "_fill", fill_with(crafted))
     tr = run_protocol(cfg, IDENTITY)
-    assert np.array_equal(tr.cells, crafted) and tr.ctrl_x_count == ctrl_x
+    assert np.array_equal(tr.cells, crafted) and tr.table[10:12].sum() == ctrl_x
     assert tr.abort_reason == abort
     assert tr.test_bit_error_rate == (1.0 if sift_z == (1, 2) else 0.0)
-    rate = tr.estimates()[0][P_E_MINUS]
+    rate = tr.estimates[P_E_MINUS]
     assert rate == minus / ctrl_x if ctrl_x else math.isnan(rate)
     assert f"ctrl_x_error_rate={fmt(rate) if ctrl_x else 'none'}" in kv_text(tr.summary_items()).splitlines()
     assert_split_matches_the_reference(tr, cfg)
@@ -125,7 +125,7 @@ def test_noiseless_run_gives_identical_keys():
     cfg = ProtocolConfig(n=1000, seed=3)
     tr = run_protocol(cfg, IDENTITY)
     assert tr.abort_reason is None
-    assert tr.estimates()[0][P_E_MINUS] == 0.0  # the CTRL-X error rate
+    assert tr.estimates[P_E_MINUS] == 0.0  # the CTRL-X error rate
     assert tr.test_bit_error_rate == 0.0
     _, alice, bob = reference_split(tr, cfg)
     assert alice.size == 1000
@@ -141,15 +141,14 @@ def test_runs_are_deterministic():
     assert a.test_bit_error_rate == b.test_bit_error_rate
     assert np.array_equal(reference_split(a, cfg)[1], reference_split(b, cfg)[1])
     assert_split_matches_the_reference(a, cfg)
-    for x, y in zip(a.estimates(), b.estimates()):
+    for x, y in zip((a.estimates, a.se), (b.estimates, b.se)):
         assert np.array_equal(x, y)
 
 
 def test_round_classes_partition_all_rounds():
     cfg = ProtocolConfig(n=200, seed=7)
     tr = run_protocol(cfg, depolarizing_attack(0.0, 0.2))
-    sift_x = tr.sift_x_count
-    total = tr.sift_z_count + sift_x + tr.ctrl_z_count + tr.ctrl_x_count
+    total = tr.table[0:4].sum() + tr.table[4:8].sum() + tr.table[8:10].sum() + tr.table[10:12].sum()
     assert total == tr.n_rounds == cfg.n_rounds
 
 
@@ -157,7 +156,7 @@ def test_estimates_track_analytic_statistics():
     atk = depolarizing_attack(0.0, 0.1)
     tr = run_protocol(ProtocolConfig(n=100_000, seed=12), atk)
     want = compute_statistics(atk)
-    value, se = (dict(zip(STAT_FIELDS, x)) for x in tr.estimates())
+    value, se = (dict(zip(STAT_FIELDS, x)) for x in (tr.estimates, tr.se))
     err_rate = value["p01"] + value["p10"]
     err_se = math.hypot(se["p01"], se["p10"])
     assert abs(err_rate - 0.05) <= 4 * err_se
@@ -168,7 +167,7 @@ def test_estimates_track_analytic_statistics():
 def test_noisy_channel_aborts():
     tr = run_protocol(ProtocolConfig(n=1000, seed=5), depolarizing_attack(0.0, 0.9))
     assert tr.abort_reason in (ABORT_CTRL_X_NOISE, ABORT_TEST_BIT_NOISE)
-    assert tr.estimates()[0][P_E_MINUS] > 0.1 or tr.test_bit_error_rate > 0.1
+    assert tr.estimates[P_E_MINUS] > 0.1 or tr.test_bit_error_rate > 0.1
 
 
 def test_too_few_sift_z_aborts_first(monkeypatch):
@@ -177,8 +176,8 @@ def test_too_few_sift_z_aborts_first(monkeypatch):
     crafted = np.array([1] * (2 * cfg.n - 1) + [11] * (cfg.n_rounds - 2 * cfg.n + 1), dtype=np.int8)
     monkeypatch.setattr(sqkd.protocol, "_fill", fill_with(crafted))
     tr = run_protocol(cfg, IDENTITY)
-    assert np.array_equal(tr.cells, crafted) and tr.sift_z_count == 2 * cfg.n - 1
-    assert tr.estimates()[0][P_E_MINUS] == 1.0
+    assert np.array_equal(tr.cells, crafted) and tr.table[0:4].sum() == 2 * cfg.n - 1
+    assert tr.estimates[P_E_MINUS] == 1.0
     assert tr.abort_reason == ABORT_TOO_FEW_SIFT_Z
     assert tr.test_bit_error_rate != tr.test_bit_error_rate  # NaN: step never ran
     assert_split_matches_the_reference(tr, cfg)
@@ -372,9 +371,9 @@ def test_empty_ctrl_class_is_flagged_not_fabricated(monkeypatch):
     crafted = (np.arange(cfg.n_rounds) % 10).astype(np.int8)
     monkeypatch.setattr(sqkd.protocol, "_fill", fill_with(crafted))
     tr = run_protocol(cfg, IDENTITY)
-    assert np.array_equal(tr.cells, crafted) and tr.sift_z_count >= 2 * cfg.n
-    assert tr.ctrl_x_count == 0
-    value, se = tr.estimates()
+    assert np.array_equal(tr.cells, crafted) and tr.table[0:4].sum() >= 2 * cfg.n
+    assert tr.table[10:12].sum() == 0
+    value, se = tr.estimates, tr.se
     assert math.isnan(value[P_E_MINUS]) and math.isnan(se[P_E_MINUS])
     with pytest.raises(ValueError, match="p_e_minus"):
         Statistics(*value)
@@ -382,7 +381,7 @@ def test_empty_ctrl_class_is_flagged_not_fabricated(monkeypatch):
 
 def test_estimate_statistics_matches_transcript_field():
     tr = run_protocol(ProtocolConfig(n=300, seed=6), depolarizing_attack(0.2, 0.1))
-    obs = Statistics(*tr.estimates()[0])
+    obs = Statistics(*tr.estimates)
     assert obs.p00 + obs.p01 + obs.p10 + obs.p11 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -587,10 +586,11 @@ def test_summary_matches_an_independent_tally_of_the_rows(tmp_path, cfg, q, b):
                    and bit in (None, row_bit) and outcome in (None, row_outcome))
 
     sz, sx, cz, cx = count("SIFT", "Z"), count("SIFT", "X"), count("CTRL", "Z"), count("CTRL", "X")
-    assert (tr.sift_z_count, tr.sift_x_count, tr.ctrl_z_count, tr.ctrl_x_count) == (sz, sx, cz, cx)
+    branches = tr.table[0:4].sum(), tr.table[4:8].sum(), tr.table[8:10].sum(), tr.table[10:12].sum()
+    assert branches == (sz, sx, cz, cx)
     assert [summary[k] for k in ("sift_z_count", "sift_x_count", "ctrl_z_count", "ctrl_x_count")] == [
         str(sz), str(sx), str(cz), str(cx)]
-    value, se = tr.estimates()
+    value, se = tr.estimates, tr.se
     assert value[P_E_MINUS] == count("CTRL", "X", outcome="-") / cx
     assert summary["ctrl_x_error_rate"] == fmt(count("CTRL", "X", outcome="-") / cx)
     # each estimate's count and the size m of its conditioning class
