@@ -3,13 +3,14 @@
 
 Runs the protocol for a grid of depolarizing channels, prints each estimated
 statistic with its deviation in standard errors, and compares the key-rate
-bound recomputed from the estimates with the closed form f(b, q).
+bound at the estimates, which the run's transcript holds, with the closed
+form f(b, q).
 """
 
 import argparse
 
-from sqkd.attacks import STAT_FIELDS, Statistics, compute_statistics, depolarizing_attack
-from sqkd.keyrate import depolarizing_bound, key_rate_bound
+from sqkd.attacks import STAT_FIELDS, compute_statistics, depolarizing_attack
+from sqkd.keyrate import depolarizing_bound
 from sqkd.protocol import ProtocolConfig, run_protocol
 
 
@@ -31,8 +32,7 @@ def main():
                 true = b if name == "bias" else getattr(analytic, name)[0]
                 z = abs(v - true) / v_se if v_se else 0.0
                 print(f"  {name:10s} est={v:.5f}  exact={true:.5f}  |z|={z:.2f}")
-            est_bound = key_rate_bound(Statistics(*value)).bound[0]
-            print(f"  bound from estimates: {est_bound:.5f}   f(b,q): {depolarizing_bound(b, q):.5f}")
+            print(f"  bound from estimates: {tr.report.bound[0]:.5f}   f(b,q): {depolarizing_bound(b, q):.5f}")
 
 
 if __name__ == "__main__":

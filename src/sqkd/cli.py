@@ -149,11 +149,9 @@ def cmd_simulate(args) -> tuple[int, list]:
         transcript = protocol.run_protocol(cfg, attack)
         if args.export is not None:
             transcript.to_csv(args.export)
-    items = transcript.summary_items()
-    try:  # an estimate of an empty class is NaN, which Statistics rejects
-        report = keyrate.key_rate_bound(attacks.Statistics(*transcript.estimates))
-    except ValueError as exc:
-        items += [("bound", None), ("bound_error", exc)]
+    items, report = transcript.summary_items(), transcript.report
+    if isinstance(report, ValueError):
+        items += [("bound", None), ("bound_error", report)]
     else:
         # prefixed, since the transcript summary has an abort key too
         items += [(key if key == "bound" else f"bound_{key}", value)

@@ -31,11 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .attacks import _CLASS, _COUNTED, STAT_FIELDS, RestrictedAttack, cell_probabilities
+from .attacks import _CLASS, _COUNTED, STAT_FIELDS, RestrictedAttack, Statistics, cell_probabilities
+from .keyrate import KeyRateReport, key_rate_bound
 
 ABORT_TOO_FEW_SIFT_Z = "TOO_FEW_SIFT_Z"
 ABORT_CTRL_X_NOISE = "CTRL_X_NOISE"
-ABORT_TEST_BIT_NOISE = "TEST_BIT_NOISE"
+ABORT_KEY_RATE = "KEY_RATE"
 
 TRANSCRIPT_HEADER = "round,bob_choice,alice_basis,bob_bit,alice_outcome"
 
@@ -51,7 +52,7 @@ CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 MAX_SPANS = 8
 #: the most rounds one run may have; larger requests are rejected before allocation
 MAX_ROUNDS = 10**8
-#: the error threshold of the CTRL-X and test-bit abort checks
+#: the error threshold of the CTRL-X abort check
 P_T = 0.1
 
 # the CSV row of a round after its index, by cell code: bob_choice,
@@ -132,16 +133,16 @@ class ProtocolTranscript:
     and ``table`` the number of rounds in each of the 12 cells.  ``estimates``
     holds the frequency estimates of the observable statistics and ``se``
     their binomial standard errors, two float64 arrays in STAT_FIELDS order
-    computed once from ``table``.  Estimates and error rates are NaN when
-    their conditioning class is empty or the corresponding protocol step was
-    never reached.
+    computed once from ``table``, NaN where their conditioning class is
+    empty.  ``report`` is the key-rate bound at the estimates, or the
+    ValueError with which ``Statistics`` rejected them.
     """
 
     cells: np.ndarray
     table: np.ndarray
     estimates: np.ndarray
     se: np.ndarray
-    test_bit_error_rate: float
+    report: KeyRateReport | ValueError
     abort_reason: str | None
 
     @property
@@ -159,7 +160,6 @@ class ProtocolTranscript:
             ("ctrl_z_count", ctrl_z),
             ("ctrl_x_count", ctrl_x),
             ("ctrl_x_error_rate", self.estimates[5]),
-            ("test_bit_error_rate", self.test_bit_error_rate),
             ("abort", self.abort_reason),
         ]
         for name, v, v_se in zip(STAT_FIELDS, self.estimates.tolist(), self.se.tolist()):
@@ -214,12 +214,11 @@ _HALF = _thresholds(0.5)
 
 
 def _fill(seed: int, start: int, stop: int, k_bit: np.uint64, k_first: np.ndarray,
-          cells: np.ndarray, counts: np.ndarray, sift_z: list) -> None:
-    """Draw and classify rounds [start, stop) into ``cells[start:stop]``, add
-    their number in each cell to ``counts`` and append their SIFT-Z cells to
-    ``sift_z``.  The generator is jumped to round ``start``; ``k_bit`` is the
-    threshold of Bob's bit, 1/2 + b, and ``k_first`` that of the first
-    outcome of each packed choice.
+          cells: np.ndarray, counts: np.ndarray) -> None:
+    """Draw and classify rounds [start, stop) into ``cells[start:stop]`` and
+    add their number in each cell to ``counts``.  The generator is jumped to
+    round ``start``; ``k_bit`` is the threshold of Bob's bit, 1/2 + b, and
+    ``k_first`` that of the first outcome of each packed choice.
     """
     bitgen = np.random.Philox(seed).advance(start)
     for a in range(start, stop, CHUNK):
@@ -233,11 +232,11 @@ def _fill(seed: int, start: int, stop: int, k_bit: np.uint64, k_first: np.ndarra
         del k  # the next chunk's words are drawn only after these are freed
         cells[a:a + block.size] = block
         counts += np.bincount(block, minlength=12)
-        sift_z.append(np.compress(block < 4, block))
 
 
 def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTranscript:
-    """Simulate all rounds, draw the test rounds and apply the abort checks in order.
+    """Simulate all rounds, take the key-rate bound at their estimates and
+    apply the abort checks in order.
 
     Aborts are recorded on the transcript, not raised.  Identical
     (cfg, attack) pairs produce bit-identical transcripts.
@@ -253,12 +252,11 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     ends = [n_rounds * k // w for k in range(w + 1)]
     cells = np.empty(n_rounds, dtype=np.int8)
     counts = np.zeros((w, 12), dtype=np.int64)
-    sift_z = [[] for _ in range(w)]
     errors = [None] * w
 
     def span(k):
         try:
-            _fill(cfg.seed, ends[k], ends[k + 1], k_bit, k_first, cells, counts[k], sift_z[k])
+            _fill(cfg.seed, ends[k], ends[k + 1], k_bit, k_first, cells, counts[k])
         except BaseException as exc:  # re-raised by the caller once every span has ended
             errors[k] = exc
 
@@ -283,21 +281,21 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
         se = np.sqrt(estimates * (1.0 - estimates) / m)
     estimates[0] -= 0.5  # the bias is the share of Bob's bit 0, less 1/2
 
-    sz_cells = np.concatenate([part for parts in sift_z for part in parts])  # in round order
+    try:  # an estimate of an empty class is NaN, which Statistics rejects
+        report = key_rate_bound(Statistics(*estimates))
+    except ValueError as exc:
+        report = exc
+
     abort = None
-    test_error = math.nan
-    if sz_cells.size < 2 * n:
+    if table[:4].sum() < 2 * n:
         abort = ABORT_TOO_FEW_SIFT_Z
-    else:
-        # the generator continues where the draw of the last round left the stream
-        rng = np.random.Generator(np.random.Philox(cfg.seed).advance(n_rounds))
-        test_cells = sz_cells[rng.choice(sz_cells.size, size=n, replace=False)]
-        test_error = int(np.count_nonzero((test_cells & 1) != (test_cells >> 1))) / n
-        # the CTRL-X error rate is the p_e_minus estimate; NaN, for no CTRL-X round, never aborts
-        if estimates[5] > P_T:
-            abort = ABORT_CTRL_X_NOISE
-        elif test_error > P_T:
-            abort = ABORT_TEST_BIT_NOISE
+    # the CTRL-X error rate is the p_e_minus estimate; NaN, for no CTRL-X round, never aborts
+    elif estimates[5] > P_T:
+        abort = ABORT_CTRL_X_NOISE
+    # no key where the estimates give no bound, where B <= 0 (the bound there, at
+    # most 0, may round above it) or where the bound is not positive
+    elif isinstance(report, ValueError) or report.abort[0] or not report.bound[0] > 0:
+        abort = ABORT_KEY_RATE
 
     return ProtocolTranscript(cells=cells, table=table, estimates=estimates, se=se,
-                              test_bit_error_rate=test_error, abort_reason=abort)
+                              report=report, abort_reason=abort)

@@ -12,7 +12,7 @@ import pytest
 import oracle
 from conftest import fragments_of, random_attack
 from sqkd import cli
-from sqkd.attacks import Statistics, compute_statistics, depolarizing_attack
+from sqkd.attacks import compute_statistics, depolarizing_attack
 from sqkd.keyrate import (
     _lambda,
     depolarizing_bound,
@@ -203,7 +203,7 @@ def test_criterion_08_monte_carlo_consistency(q, b, seed):
         true = b if name == "bias" else getattr(analytic, name)[0]
         if abs(v - true) > 4 * v_se:
             bad.append(f"{name}: est={v:.5f} true={true:.5f} se={v_se:.2e}")
-    est_bound = key_rate_bound(Statistics(*value)).bound[0]
+    est_bound = tr.report.bound[0]
     f_true = depolarizing_bound(b, q)
     elapsed = time.perf_counter() - t0
     ok = not bad and abs(est_bound - f_true) <= 0.05 and elapsed < 60.0

@@ -100,7 +100,7 @@ BOUND_CALLS = (
     ("bound", "--attack", "{attack}"),
     ("simulate", "--n", "2000", "--seed", "3", "--q", "0.05", "--b", "0.1"),
     ("simulate", "--n", "2000", "--seed", "4", "--attack", "{attack}"),
-    # estimates outside the invariants: bound=none and the message
+    # estimates outside the invariants: bound=none and the message, and an abort
     ("simulate", "--n", "5", "--seed", "25", "--q", "0.05", "--b", "0.1"),
     ("simulate", "--n", "2", "--seed", "0", "--q", "0.05", "--b", "0.1"),
 )
@@ -111,8 +111,10 @@ BOUND_FILES = {
 }
 # sha256 of the exit code and stdout of every call above, as they were
 # printed while one point of statistics was a class of its own, except that
-# the attack run aborts on its CTRL-X rate of 0.179 (abort line and exit code)
-BOUND_SHA256 = "c90647fbb3dd235eb2d18b57b3d210c9842586c4a56491ab2e77dfbf52796b80"
+# the attack run aborts on its CTRL-X rate of 0.179 (abort line and exit
+# code), that simulate prints no test_bit_error_rate line, and that the two
+# runs without a bound abort with KEY_RATE (abort line and exit code)
+BOUND_SHA256 = "68760a64f732d07c594ea4ec05e3e819eb55faac18f7c573d5328a272dfbfaa7"
 
 
 def says_why_there_is_no_bound(out):
@@ -480,7 +482,7 @@ def test_simulate_noiseless(capsys):
     assert code == 0
     values = kv(out)
     assert values["abort"] == "none"
-    assert values["test_bit_error_rate"] == "0"
+    assert values["ctrl_x_error_rate"] == values["p01"] == values["p10"] == "0"
     assert float(values["bound"]) > 0.9
 
 
@@ -488,22 +490,21 @@ def test_simulate_abort_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--n", "1000", "--seed", "7", "--q", "0.9", "--b", "0")
     assert code == 2
-    assert kv(out)["abort"] in ("CTRL_X_NOISE", "TEST_BIT_NOISE")
+    assert kv(out)["abort"] == "CTRL_X_NOISE"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 19: the abort checks compare fixed error levels, not the key rate")
 def test_simulate_aborts_a_run_whose_bound_is_negative(capsys):
-    # a CTRL-X rate of 9.79% and a test-bit rate of 9.82% lie under P_T = 0.1,
-    # while the bound at the estimates is -0.00914881932723
+    # a CTRL-X rate of 9.79% lies under P_T = 0.1, while the bound at the
+    # estimates is -0.00914881932723
     code, out, _ = run_cli(capsys, "simulate", "--q", "0.196", "--b", "0", "--n", "200000", "--seed", "3")
     values = kv(out)
-    assert float(values["bound"]) < 0
-    assert code == 2 and values["abort"] != "none"
+    assert values["bound"] == "-0.00914881932723" and values["ctrl_x_error_rate"] == "0.0978986200519"
+    assert code == 2 and values["abort"] == "KEY_RATE"
 
 
 # a run of nine rounds with no CTRL-X round: p_e_minus has an empty class, so
 # it has no value and no standard error, and no bound is taken, which
-# bound_error explains
+# bound_error explains; a run without a bound keeps no key
 EMPTY_CLASS_STDOUT = """\
 rounds=9
 sift_z_count=6
@@ -511,8 +512,7 @@ sift_x_count=2
 ctrl_z_count=1
 ctrl_x_count=0
 ctrl_x_error_rate=none
-test_bit_error_rate=0
-abort=none
+abort=KEY_RATE
 bias=0
 bias_se=0.176776695297
 p00=0.5
@@ -536,7 +536,7 @@ bound_error=p_e_minus must lie in [0, 1], got nan
 def test_simulate_with_an_empty_estimate_class_prints_none(capsys):
     code, out, err = run_cli(capsys, "simulate", "--n", "1", "--seed", "10", "--q", "0.05", "--b", "0.1",
                              "--delta", "1e-3")
-    assert (code, out, err) == (0, EMPTY_CLASS_STDOUT, "")
+    assert (code, out, err) == (2, EMPTY_CLASS_STDOUT, "")
     assert says_why_there_is_no_bound(out)
 
 

@@ -173,6 +173,15 @@ def test_the_cell_map_is_read_only_by_the_exact_and_the_estimated_statistics():
     assert owners == {("attacks", "compute_statistics"), ("protocol", "run_protocol")}
 
 
+def test_a_runs_bound_has_one_path():
+    # run_protocol takes the bound at a run's estimates and decides the abort
+    # from it; simulate prints the transcript's report and takes no bound of its own
+    callers = {(stem, owner) for stem, owner, node in src_nodes()
+               if isinstance(node, ast.Call) and "key_rate_bound" in (getattr(node.func, "id", None),
+                                                                     getattr(node.func, "attr", None))}
+    assert callers == {("cli", "cmd_bound"), ("cli", "cmd_sweep"), ("protocol", "run_protocol")}
+
+
 def test_no_print_in_src_writes_to_stdout():
     # a command returns (key, value) pairs; only messages to stderr are printed
     prints = [(stem, owner, node) for stem, owner, node in src_nodes()

@@ -22,9 +22,10 @@ from sqkd.attacks import (
 )
 from sqkd.protocol import (
     ABORT_CTRL_X_NOISE,
-    ABORT_TEST_BIT_NOISE,
+    ABORT_KEY_RATE,
     ABORT_TOO_FEW_SIFT_Z,
     MAX_ROUNDS,
+    P_T,
     TRANSCRIPT_HEADER,
     ProtocolConfig,
     _ROW_SUFFIX,
@@ -65,60 +66,70 @@ def test_round_count_rounds_up():
 # ---------------------------------------------------------------- protocol
 
 
-def reference_split(tr, cfg):
-    """The test-bit error rate and both raw keys of ``tr``, rebuilt from its
-    cells alone: the SIFT-Z rounds are the positions of cells 0-3, the test
-    rounds n of them chosen by the generator advanced past the last round,
-    and the keys the first n SIFT-Z rounds not chosen."""
-    sz_rounds = np.flatnonzero(tr.cells < 4)
-    if sz_rounds.size < 2 * cfg.n:
-        return math.nan, None, None
-    picked = np.zeros(sz_rounds.size, dtype=bool)
-    rng = np.random.Generator(np.random.Philox(cfg.seed).advance(cfg.n_rounds))
-    picked[rng.choice(sz_rounds.size, size=cfg.n, replace=False)] = True
-    test, key = tr.cells[sz_rounds[picked]], tr.cells[sz_rounds[~picked][:cfg.n]]
-    return np.count_nonzero(test & 1 != test >> 1) / cfg.n, key & 1, key >> 1
-
-
-def assert_split_matches_the_reference(tr, cfg):
-    error = reference_split(tr, cfg)[0]
-    assert tr.test_bit_error_rate == error or math.isnan(tr.test_bit_error_rate) and math.isnan(error)
+def sift_z_bits(tr):
+    """Alice's and Bob's bits on the SIFT-Z rounds of ``tr``, the cells 0-3,
+    in round order: Alice's bit is ``cell & 1`` and Bob's ``cell >> 1``."""
+    sz = tr.cells[tr.cells < 4]
+    return sz & 1, sz >> 1
 
 
 def fill_with(crafted):
     """A ``_fill`` that writes the cells ``crafted`` in place of drawn rounds."""
 
-    def fill(seed, start, stop, k_bit, k_first, cells, counts, sift_z):
+    def fill(seed, start, stop, k_bit, k_first, cells, counts):
         block = crafted[start:stop]
         cells[start:stop] = block
         counts += np.bincount(block, minlength=12)
-        sift_z.append(block[block < 4])
 
     return fill
 
 
-# 300 rounds: 200 SIFT-Z rounds of two cells, where (0, 3) agree and (1, 2)
-# disagree, then `ctrl_x` CTRL-X rounds of which `minus` saw -, then CTRL-Z
+# 400 rounds: 200 SIFT-Z rounds of two cells, where (0, 3) agree and (1, 2)
+# disagree, 40 SIFT-X rounds of every cell, then `ctrl_x` CTRL-X rounds of
+# which `minus` saw -, then CTRL-Z.  With agreeing SIFT-Z rounds the bound at
+# the estimates is positive below a CTRL-X rate of 1/2; a run without a
+# CTRL-X round has no p_e_minus estimate, so no bound and no key
 @pytest.mark.parametrize("sift_z, ctrl_x, minus, abort", [
     ((0, 3), 100, 10, None),  # 10 / 100 is the double 0.1 = P_T, and the check is strict
-    ((0, 3), 100, 11, ABORT_CTRL_X_NOISE),
-    ((1, 2), 100, 11, ABORT_CTRL_X_NOISE),  # checked before the test bits
-    ((1, 2), 0, 0, ABORT_TEST_BIT_NOISE),  # no CTRL-X round: NaN does not abort
-    ((0, 3), 0, 0, None),
-], ids=["at p_t", "one more -", "one more - and test-bit noise", "no CTRL-X and test-bit noise", "no CTRL-X"])
+    ((0, 3), 100, 11, ABORT_CTRL_X_NOISE),  # at a positive bound
+    ((1, 2), 100, 11, ABORT_CTRL_X_NOISE),  # checked before the key rate
+    ((1, 2), 0, 0, ABORT_KEY_RATE),  # no CTRL-X round: NaN does not abort CTRL_X_NOISE
+    ((0, 3), 0, 0, ABORT_KEY_RATE),
+], ids=["at p_t", "one more -", "one more - and SIFT-Z noise", "no CTRL-X and SIFT-Z noise", "no CTRL-X"])
 def test_the_ctrl_x_rate_aborts_only_above_the_threshold(monkeypatch, sift_z, ctrl_x, minus, abort):
-    cfg = ProtocolConfig(n=30, seed=6)
-    crafted = np.array([*sift_z] * 100 + [11] * minus + [10] * (ctrl_x - minus), dtype=np.int8)
+    cfg = ProtocolConfig(n=40, seed=6)
+    crafted = np.array([*sift_z] * 100 + [4, 5, 6, 7] * 10 + [11] * minus + [10] * (ctrl_x - minus), dtype=np.int8)
     crafted = np.concatenate([crafted, np.full(cfg.n_rounds - crafted.size, 8, dtype=np.int8)])
     monkeypatch.setattr(sqkd.protocol, "_fill", fill_with(crafted))
     tr = run_protocol(cfg, IDENTITY)
     assert np.array_equal(tr.cells, crafted) and tr.table[10:12].sum() == ctrl_x
     assert tr.abort_reason == abort
-    assert tr.test_bit_error_rate == (1.0 if sift_z == (1, 2) else 0.0)
     rate = tr.estimates[P_E_MINUS]
     assert rate == minus / ctrl_x if ctrl_x else math.isnan(rate)
     assert f"ctrl_x_error_rate={fmt(rate) if ctrl_x else 'none'}" in kv_text(tr.summary_items()).splitlines()
-    assert_split_matches_the_reference(tr, cfg)
+    if not ctrl_x:
+        assert isinstance(tr.report, ValueError)
+    elif sift_z == (0, 3):
+        assert tr.report.bound[0] > 0 and not tr.report.abort[0]
+
+
+# two runs at an edge of the key-rate rule, each with 2n SIFT-Z rounds and no
+# CTRL-X round that reads -.  In "bound 0" every SIFT-Z round reads 00, so B
+# is clamped to sqrt(p00 p11) = 0 without the abort flag and the bound is
+# exactly 0.  In "B 0" (p00, p11) = (2, 361) / 363 and every SIFT-X round
+# reads +, so B = 0 and the abort flag is set; the bound at B = 0 is at most 0
+# in exact arithmetic, and here it rounds to 5e-16
+@pytest.mark.parametrize("sift", [[0] * 300 + [4, 5] * 100, [0] * 2 + [3] * 361 + [4] * 2 + [6] * 361],
+                         ids=["bound 0", "B 0"])
+def test_a_run_keeps_no_key_at_a_bound_of_zero(monkeypatch, sift):
+    cfg = ProtocolConfig(n=100, seed=9)
+    crafted = np.array(sift + [10] * (cfg.n_rounds - len(sift)), dtype=np.int8)
+    monkeypatch.setattr(sqkd.protocol, "_fill", fill_with(crafted))
+    tr = run_protocol(cfg, IDENTITY)
+    assert tr.table[:4].sum() >= 2 * cfg.n and tr.estimates[P_E_MINUS] == 0.0
+    bound, flagged = tr.report.bound[0], tr.report.abort[0]
+    assert (bound == 0.0 and not flagged) if sift[2] == 0 else (bound > 0.0 and flagged)
+    assert tr.abort_reason == ABORT_KEY_RATE
 
 
 def test_noiseless_run_gives_identical_keys():
@@ -126,9 +137,8 @@ def test_noiseless_run_gives_identical_keys():
     tr = run_protocol(cfg, IDENTITY)
     assert tr.abort_reason is None
     assert tr.estimates[P_E_MINUS] == 0.0  # the CTRL-X error rate
-    assert tr.test_bit_error_rate == 0.0
-    _, alice, bob = reference_split(tr, cfg)
-    assert alice.size == 1000
+    alice, bob = sift_z_bits(tr)
+    assert alice.size == tr.table[:4].sum() >= 2 * cfg.n
     assert np.array_equal(alice, bob)
 
 
@@ -138,9 +148,7 @@ def test_runs_are_deterministic():
     a = run_protocol(cfg, atk)
     b = run_protocol(cfg, atk)
     assert np.array_equal(a.cells, b.cells)
-    assert a.test_bit_error_rate == b.test_bit_error_rate
-    assert np.array_equal(reference_split(a, cfg)[1], reference_split(b, cfg)[1])
-    assert_split_matches_the_reference(a, cfg)
+    assert a.abort_reason == b.abort_reason and np.array_equal(a.report.bound, b.report.bound)
     for x, y in zip((a.estimates, a.se), (b.estimates, b.se)):
         assert np.array_equal(x, y)
 
@@ -166,8 +174,8 @@ def test_estimates_track_analytic_statistics():
 
 def test_noisy_channel_aborts():
     tr = run_protocol(ProtocolConfig(n=1000, seed=5), depolarizing_attack(0.0, 0.9))
-    assert tr.abort_reason in (ABORT_CTRL_X_NOISE, ABORT_TEST_BIT_NOISE)
-    assert tr.estimates[P_E_MINUS] > 0.1 or tr.test_bit_error_rate > 0.1
+    assert tr.abort_reason == ABORT_CTRL_X_NOISE
+    assert tr.estimates[P_E_MINUS] > P_T
 
 
 def test_too_few_sift_z_aborts_first(monkeypatch):
@@ -178,9 +186,8 @@ def test_too_few_sift_z_aborts_first(monkeypatch):
     tr = run_protocol(cfg, IDENTITY)
     assert np.array_equal(tr.cells, crafted) and tr.table[0:4].sum() == 2 * cfg.n - 1
     assert tr.estimates[P_E_MINUS] == 1.0
+    assert isinstance(tr.report, ValueError)  # no SIFT-X round, so no bound either
     assert tr.abort_reason == ABORT_TOO_FEW_SIFT_Z
-    assert tr.test_bit_error_rate != tr.test_bit_error_rate  # NaN: step never ran
-    assert_split_matches_the_reference(tr, cfg)
 
 
 def test_no_abort_for_noiseless_channel_at_any_threshold(monkeypatch):
@@ -191,27 +198,43 @@ def test_no_abort_for_noiseless_channel_at_any_threshold(monkeypatch):
             assert tr.abort_reason is None
 
 
-def test_key_disagreement_matches_error_probability(monkeypatch):
-    monkeypatch.setattr(sqkd.protocol, "P_T", 0.2)
-    atk = depolarizing_attack(0.0, 0.2)
+def test_key_disagreement_matches_error_probability():
+    atk = depolarizing_attack(0.0, 0.15)  # a CTRL-X rate of 0.075
     cfg = ProtocolConfig(n=20_000, seed=13)
     tr = run_protocol(cfg, atk)
     assert tr.abort_reason is None
-    _, alice, bob = reference_split(tr, cfg)
+    alice, bob = sift_z_bits(tr)
     disagree = float(np.count_nonzero(alice != bob)) / alice.size
-    p_err = 0.1  # p01 + p10 at q = 0.2, b = 0
+    p_err = 0.075  # p01 + p10 at q = 0.15, b = 0
     se = math.sqrt(p_err * (1 - p_err) / alice.size)
     assert abs(disagree - p_err) <= 4 * se
 
 
 def test_bit_flip_attack_flips_every_key_bit():
     atk = RestrictedAttack(0.0, e00=[0.0], e01=[1.0], e10=[1.0], e11=[0.0])  # bit flip
-    cfg = ProtocolConfig(n=50, seed=2)
-    tr = run_protocol(cfg, atk)
-    # every sifted Z round disagrees, so the test-bit check must fire
-    assert tr.abort_reason == ABORT_TEST_BIT_NOISE
-    assert tr.test_bit_error_rate == 1.0
-    assert_split_matches_the_reference(tr, cfg)
+    tr = run_protocol(ProtocolConfig(n=50, seed=2), atk)
+    # every sifted Z round disagrees and no CTRL-X round reads -, so the bound,
+    # 0 at the exact statistics, is at most 0 at the estimates
+    alice, bob = sift_z_bits(tr)
+    assert np.array_equal(alice, 1 - bob) and tr.estimates[P_E_MINUS] == 0.0
+    assert tr.report.bound[0] <= 0
+    assert tr.abort_reason == ABORT_KEY_RATE
+
+
+def test_no_run_keeps_a_key_where_its_bound_is_not_positive():
+    # q from 0.15 to 0.25 across q*(0) = 0.1938 and q*(+-0.2) = 0.1872, three
+    # seeds of 200,000 rounds each; at b = +-0.2 the CTRL-X rate, 0.042 +
+    # 0.458 q, passes P_T first, at b = 0 it is q / 2
+    seeds, aborts = (1, 2, 3), {}
+    for b in (0.0, 0.2, -0.2):
+        for q in (0.15, 0.18, 0.19, 0.196, 0.21, 0.25):
+            for seed in seeds:
+                tr = run_protocol(ProtocolConfig(n=20_000, seed=seed), depolarizing_attack(b, q))
+                assert tr.abort_reason is not None or tr.report.bound[0] > 0, (b, q, seed)
+                aborts[b, q, seed] = tr.abort_reason
+    assert [aborts[0.0, 0.18, seed] for seed in seeds] == [None] * 3
+    assert None not in [aborts[0.0, 0.21, seed] for seed in seeds]
+    assert [aborts[0.0, 0.196, seed] for seed in seeds] == [ABORT_KEY_RATE] * 3
 
 
 def round_law(u, b, p_sift=0.5, p_z=0.5):
@@ -307,12 +330,11 @@ def reference_fill(atk):
     doubles compared with the probabilities of ``atk``."""
     p_first = np.clip(cell_probabilities(atk)[FIRST_CELL], 0.0, 1.0)
 
-    def fill(seed, start, stop, k_bit, k_first, cells, counts, sift_z):
+    def fill(seed, start, stop, k_bit, k_first, cells, counts):
         u = np.random.Generator(np.random.Philox(seed).advance(start)).random((stop - start, 4))
         block = classify(u, 0.5 + atk.bias, p_first)
         cells[start:stop] = block
         counts += np.bincount(block, minlength=12)
-        sift_z.append(block[block < 4])
 
     return fill
 
@@ -329,8 +351,7 @@ def test_integer_draws_match_a_reference_that_draws_doubles(monkeypatch, b, q):
     monkeypatch.setattr(sqkd.protocol, "_fill", reference_fill(atk))
     ref = run_protocol(cfg, atk)
     assert np.array_equal(tr.cells, ref.cells) and np.array_equal(tr.table, ref.table)
-    assert tr.abort_reason == ref.abort_reason and tr.test_bit_error_rate == ref.test_bit_error_rate
-    assert_split_matches_the_reference(tr, cfg)
+    assert tr.abort_reason == ref.abort_reason
 
 
 # the ids are those of the cases when each also set the SIFT and Z cuts
@@ -355,11 +376,10 @@ def test_words_at_the_thresholds_decide_as_the_doubles(monkeypatch, bit_cut):
 
     monkeypatch.setattr(np.random, "Philox", lambda seed: Words())
     monkeypatch.setattr(sqkd.protocol, "CHUNK", 100)
-    cells, counts, sift_z = np.empty(len(k), dtype=np.int8), np.zeros(12, dtype=np.int64), []
-    sqkd.protocol._fill(0, 0, len(k), _thresholds(bit_cut), _thresholds(p_first), cells, counts, sift_z)
+    cells, counts = np.empty(len(k), dtype=np.int8), np.zeros(12, dtype=np.int64)
+    sqkd.protocol._fill(0, 0, len(k), _thresholds(bit_cut), _thresholds(p_first), cells, counts)
     want = classify(k * 2.0**-53, bit_cut, p_first)
     assert np.array_equal(cells, want) and np.array_equal(counts, np.bincount(want, minlength=12))
-    assert np.array_equal(np.concatenate(sift_z), want[want < 4])
 
 
 # ---------------------------------------------------------------- estimates
@@ -426,13 +446,15 @@ EXPORT_RUNS = (
 # their test ids, which skip cfg1, a run that set branch probabilities the
 # simulator no longer takes
 EXPORT_IDS = ("cfg0-0.6-0.0", "cfg2-0.08-0.1", "cfg3-0.04-0.05")
-# sha256 of their exports: the first two written by the per-round-array
-# simulator that the cell-code transcript replaced, the third by the NUL-mask
-# writer that the index-block writer replaced
+# sha256 of their exports: the rows of the first two as the per-round-array
+# simulator that the cell-code transcript replaced wrote them, those of the
+# third as the NUL-mask writer that the index-block writer replaced wrote
+# them; the '#' summary block lost its test_bit_error_rate line when the
+# test-round draw went, and no row changed
 EXPORT_SHA256 = (
-    "7fcc7e9ee01239e8610ecf8aedff28551541e2ce25cf79526c0222e545629d1b",
-    "7f70e68140f600b0a19b266b78f87193250d4811bd54b7ba4980bc30bdd3f270",
-    "cd20eb71fa8b8c5b6e8f0e44e33989bed4aa0573168966c45cfcc0565f3e4a0d",
+    "e0ff1a11701611152b6a907a4d1fddfca1ed11dccbc5294d95a8d34eb3b61724",
+    "01454dab1ddaf971d3fe5874791af9de51cc0737bcb2156912f1294c096ccb40",
+    "80df6e4bff97538b49a80c87465549a63263338d180f4acdfa1f5a5de6d7bdc3",
 )
 
 
@@ -478,10 +500,8 @@ def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chu
             assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
         assert [tr.abort_reason for tr in transcripts] == [ABORT_CTRL_X_NOISE, None, None][:len(runs)]
         single = single or transcripts
-        for (cfg, _, _), tr, one in zip(runs, transcripts, single):
-            assert_split_matches_the_reference(tr, ProtocolConfig(**cfg))
+        for tr, one in zip(transcripts, single):
             assert np.array_equal(tr.cells, one.cells)
-            assert tr.test_bit_error_rate == one.test_bit_error_rate
     assert transcripts[1].n_rounds > 3 * 4096
     assert chunk == 1 or transcripts[2].n_rounds > 3 * DEFAULT_CHUNK
 
