@@ -109,12 +109,16 @@ BOUND_FILES = {
     "k1_zero": "b=0\np00=0\np01=0.5\np10=0.5\np11=0\np_e_minus=0\np0_plus=0.25\np1_plus=0.25\n",
     "attack": "b=-0.15\nd=1\ne00=0.96,0\ne01=0.28,0\ne10=-0.28,0\ne11=0.96,0\n",
 }
-# sha256 of the exit code and stdout of every call above, as they were
-# printed while one point of statistics was a class of its own, except that
-# the attack run aborts on its CTRL-X rate of 0.179 (abort line and exit
-# code), that simulate prints no test_bit_error_rate line, and that the two
-# runs without a bound abort with KEY_RATE (abort line and exit code)
-BOUND_SHA256 = "68760a64f732d07c594ea4ec05e3e819eb55faac18f7c573d5328a272dfbfaa7"
+# sha256 of the exit code and stdout of the bound calls above and, apart, of
+# the simulate calls, as they were printed while one point of statistics was
+# a class of its own, except that the attack run aborts on its CTRL-X rate of
+# 0.179 (abort line and exit code), that simulate prints no
+# test_bit_error_rate line, and that the two runs without a bound abort with
+# KEY_RATE (abort line and exit code)
+BOUND_SHA256 = {
+    "bound": "71e6d43f183658f13c8f17bc239bc7a2d15e7be061c6c427761f4b7458553c48",
+    "simulate": "6d22778ed1ddf717389b9790418a0bab3c49c9cdf4b5d979fff41f5fb3440c83",
+}
 
 
 def says_why_there_is_no_bound(out):
@@ -128,13 +132,18 @@ def test_bound_and_simulate_stdout_is_byte_identical(capsys, tmp_path):
     for name, text in BOUND_FILES.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)
-    digest = hashlib.sha256()
+    digests, printed = {command: hashlib.sha256() for command in BOUND_SHA256}, []
     for argv in BOUND_CALLS:
         code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
         assert err == ""
         assert says_why_there_is_no_bound(out)
-        digest.update(f"{code}\n{out}".encode())
-    assert digest.hexdigest() == BOUND_SHA256
+        digests[argv[0]].update(f"{code}\n{out}".encode())
+        printed.append((code, out.splitlines()))
+    assert {command: digest.hexdigest() for command, digest in digests.items()} == BOUND_SHA256
+    # the last two runs' estimates lie outside the invariants: no bound, and the message
+    for code, lines in printed[-2:]:
+        assert code == 2 and "abort=KEY_RATE" in lines and "bound=none" in lines
+        assert any(line.startswith("bound_error=") for line in lines)
 
 
 # malformed key=value files: a line put in after the first key of a valid
