@@ -4,14 +4,17 @@ Each round Alice sends |+>, Bob either measures in Z and resends his result
 (SIFT) or reflects the state untouched (CTRL), and Alice measures the
 returning state in Z or X.  Under a collective attack the rounds are i.i.d.,
 so every round is drawn from the law of a round, ``cell_probabilities``,
-instead of tracking a global state.  Round i consumes the i-th four words of
-one Philox stream, each compared by its top 53 bits with an integer threshold
-that decides as ``Generator.random``'s double of the word would.  One counter
-step gives four words, so a generator jumped to step i with
-``Philox.advance(i)`` draws round i as the one stream would.  A run is
-therefore cut into up to eight spans of contiguous rounds, each drawn by its
-own generator on its own thread of this process, CHUNK rounds at a time, so
-transcripts are reproducible whatever the block size and the number of spans.
+instead of tracking a global state.  Round i reads the i-th pair of words
+(A, B) of one Philox stream: Bob sifts when bit 0 of A is 0, Alice measures in
+X when bit 1 of A is 1, and Bob's bit and Alice's outcome compare the top 53
+bits of A and B with integer thresholds that decide as ``Generator.random``'s
+double of the word would.  That double drops the 11 low bits, so the fair
+choices are exactly 1/2 and all four independent.  A counter step gives four
+words, two rounds, so ``Philox.advance(i // 2)``, less one pair for an odd i,
+draws round i as the one stream would.  A run is therefore cut into up to
+eight spans of contiguous rounds, each drawn by its own generator on its own
+thread, CHUNK rounds at a time, so transcripts are reproducible whatever the
+block size and the number of spans.
 
 A round is stored as one int8 cell code, ``2 * branch + second``.  The branch
 (see ``_ROW_SUFFIX``) fixes Bob's choice, Alice's basis and, on SIFT rounds,
@@ -40,7 +43,7 @@ ABORT_KEY_RATE = "KEY_RATE"
 
 TRANSCRIPT_HEADER = "round,bob_choice,alice_basis,bob_bit,alice_outcome"
 
-#: rounds drawn and classified per block, 512 kB of words; each block's dozen numpy
+#: rounds drawn and classified per block, 256 kB of words; each block's dozen numpy
 #: calls hold the GIL while they dispatch, so larger blocks let the spans' threads overlap more
 CHUNK = 16384
 #: the fewest rounds worth a span of their own: starting and joining a thread
@@ -91,16 +94,16 @@ def _layout(width: int) -> tuple[np.dtype, np.ndarray]:
 
 
 _LAYOUTS = {width: _layout(width) for width in range(1, len(str(MAX_ROUNDS - 1)) + 1)}
-# the first cell of each packed choice, 4 * sift + 2 * (alice_basis == X) +
-# bob_bit, in cell-code order; CTRL rounds ignore the bit
-_FIRST_CELL = np.array([8, 8, 10, 10, 0, 2, 4, 6], dtype=np.int8)
+# the first cell of each packed choice, 4 * (alice_basis == X) + 2 * ctrl +
+# bob_bit; CTRL rounds ignore the bit
+_FIRST_CELL = np.array([0, 2, 8, 8, 4, 6, 10, 10], dtype=np.int8)
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters.  Bob sifts and Alice measures in Z with probability 1/2
-    each, so SIFT-Z rounds are 1/4 of all rounds; the run needs 2n of them, n
-    test and n key rounds, and so has ceil(8 n (1 + delta)) rounds."""
+    each, so SIFT-Z rounds are 1/4 of all rounds; a run with fewer than 2n of
+    them aborts, and so the run has ceil(8 n (1 + delta)) rounds."""
 
     n: int
     seed: int
@@ -209,27 +212,24 @@ def _thresholds(p) -> np.ndarray:
     return np.ceil(np.multiply(p, 2.0**53)).astype(np.uint64)
 
 
-#: the threshold of the two fair choices, Bob's SIFT and Alice's Z basis
-_HALF = _thresholds(0.5)
-
-
 def _fill(seed: int, start: int, stop: int, k_bit: np.uint64, k_first: np.ndarray,
           cells: np.ndarray, counts: np.ndarray) -> None:
     """Draw and classify rounds [start, stop) into ``cells[start:stop]`` and
     add their number in each cell to ``counts``.  The generator is jumped to
-    round ``start``; ``k_bit`` is the threshold of Bob's bit, 1/2 + b, and
-    ``k_first`` that of the first outcome of each packed choice.
+    round ``start``, two rounds a counter step; ``k_bit`` is the threshold of
+    Bob's bit, 1/2 + b, and ``k_first`` that of the first outcome of each
+    packed choice, 4 * (alice_basis == X) + 2 * ctrl + bob_bit.
     """
-    bitgen = np.random.Philox(seed).advance(start)
+    bitgen = np.random.Philox(seed).advance(start // 2)
+    bitgen.random_raw(2 * (start % 2))
     for a in range(start, stop, CHUNK):
-        k = bitgen.random_raw(4 * min(CHUNK, stop - a)).reshape(-1, 4)
-        k >>= 11
-        packed = (k[:, 0] < _HALF).view(np.uint8) << 2
-        packed |= (k[:, 1] >= _HALF).view(np.uint8) << 1
-        packed |= (k[:, 2] >= k_bit).view(np.uint8)
-        packed = packed.astype(np.intp)
-        block = _FIRST_CELL[packed] + (k[:, 3] >= k_first[packed])
-        del k  # the next chunk's words are drawn only after these are freed
+        w = bitgen.random_raw(2 * min(CHUNK, stop - a)).reshape(-1, 2)
+        packed = (w[:, 0] & 3).view(np.int64)
+        w >>= 11
+        packed <<= 1
+        packed |= w[:, 0] >= k_bit
+        block = _FIRST_CELL[packed] + (w[:, 1] >= k_first[packed])
+        del w  # the next chunk's words are drawn only after these are freed
         cells[a:a + block.size] = block
         counts += np.bincount(block, minlength=12)
 

@@ -313,26 +313,32 @@ def test_raw_words_give_the_doubles_of_generator_random(start):
     assert np.array_equal((words >> 11) * 2.0**-53, doubles)
 
 
-# the first cell of each packed choice, 4 * sift + 2 * (alice_basis == X) + bob_bit
-FIRST_CELL = np.array([8, 8, 10, 10, 0, 2, 4, 6])
+# the first cell of each packed choice, 4 * (alice_basis == X) + 2 * ctrl + bob_bit
+FIRST_CELL = np.array([0, 2, 8, 8, 4, 6, 10, 10])
 
 
-def classify(u, bit_cut, p_first):
-    """The cell codes of rounds whose four uniforms are the rows of ``u``,
-    from the doubles compared with the probabilities themselves; ``p_first``
-    is the first-outcome probability of each packed choice."""
-    packed = 4 * (u[:, 0] < 0.5) + 2 * (u[:, 1] >= 0.5) + (u[:, 2] >= bit_cut)
-    return FIRST_CELL[packed] + (u[:, 3] >= p_first[packed])
+def classify(flags, u, bit_cut, p_first):
+    """The cell codes of rounds whose first words end in the two bits
+    ``flags`` and whose two words give the doubles in the rows of ``u``: bit 0
+    set is CTRL and bit 1 set the X basis, and the doubles are compared with
+    the probabilities themselves; ``p_first`` is the first-outcome
+    probability of each packed choice."""
+    packed = 4 * (flags >> 1 & 1) + 2 * (flags & 1) + (u[:, 0] >= bit_cut)
+    return FIRST_CELL[packed] + (u[:, 1] >= p_first[packed])
 
 
 def reference_fill(atk):
-    """``_fill`` as it drew before integer thresholds, with Generator.random's
-    doubles compared with the probabilities of ``atk``."""
+    """``_fill`` as a draw of doubles decides it: the flags from the low bits
+    of each round's first word, and Generator.random's doubles of its two
+    words compared with the probabilities of ``atk``."""
     p_first = np.clip(cell_probabilities(atk)[FIRST_CELL], 0.0, 1.0)
 
     def fill(seed, start, stop, k_bit, k_first, cells, counts):
-        u = np.random.Generator(np.random.Philox(seed).advance(start)).random((stop - start, 4))
-        block = classify(u, 0.5 + atk.bias, p_first)
+        # a counter step gives the words of two rounds; an odd start skips a pair
+        skip, size = 2 * (start % 2), 2 * (stop - start)
+        words = np.random.Philox(seed).advance(start // 2).random_raw(skip + size)[skip:]
+        u = np.random.Generator(np.random.Philox(seed).advance(start // 2)).random(skip + size)[skip:]
+        block = classify(words[0::2] & np.uint64(3), u.reshape(-1, 2), 0.5 + atk.bias, p_first)
         cells[start:stop] = block
         counts += np.bincount(block, minlength=12)
 
@@ -343,8 +349,9 @@ def reference_fill(atk):
 # first-outcome probabilities at 0 and 1
 @pytest.mark.parametrize("b, q", [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.0), (0.5, 0.1), (-0.5, 0.1)])
 def test_integer_draws_match_a_reference_that_draws_doubles(monkeypatch, b, q):
+    # three spans of the 20,000 rounds, one of them from the odd round 13,333
     monkeypatch.setattr(sqkd.protocol, "SPAN", 1)
-    monkeypatch.setattr(sqkd.protocol, "CORES", 2)
+    monkeypatch.setattr(sqkd.protocol, "CORES", 3)
     monkeypatch.setattr(sqkd.protocol, "P_T", 0.3)
     cfg, atk = ProtocolConfig(n=2000, seed=43), depolarizing_attack(b, q)
     tr = run_protocol(cfg, atk)
@@ -357,17 +364,19 @@ def test_integer_draws_match_a_reference_that_draws_doubles(monkeypatch, b, q):
 # the ids are those of the cases when each also set the SIFT and Z cuts
 @pytest.mark.parametrize("bit_cut", [0.45, 0.0, 1.0], ids=["cuts0", "cuts1", "cuts2"])
 def test_words_at_the_thresholds_decide_as_the_doubles(monkeypatch, bit_cut):
-    # the top 53 bits of each word sit at a threshold or next to it, 2**52
-    # for the fair choices, and the eleven low bits, which the draw drops, are all set
+    # two words a round, whose top 53 bits sit at a threshold or next to it:
+    # the first word ends in each of the four flag pairs with the other nine
+    # dropped bits set, the second word's eleven dropped bits are all set
     p_first = np.array([1.0, 0.0, 0.1, 2 / 3, 0.5, 1 - 2.0**-53, 0.3, 5e-324])
     near = [sorted({min(max(int(t) + d, 0), 2**53 - 1) for t in _thresholds(ps) for d in (-1, 0, 1)})
-            for ps in ([0.5], [0.5], [bit_cut], p_first)]
-    k = np.array(np.meshgrid(*near, indexing="ij"), dtype=np.uint64).reshape(4, -1).T
-    words = (k << np.uint64(11) | np.uint64(0x7FF)).ravel()
+            for ps in ([bit_cut], p_first)]
+    flags, bit_k, first_k = np.array(np.meshgrid(range(4), *near, indexing="ij"), dtype=np.uint64).reshape(3, -1)
+    words = np.stack([bit_k << np.uint64(11) | np.uint64(0x7FC) | flags, first_k << np.uint64(11) | np.uint64(0x7FF)],
+                     axis=1).ravel()
 
     class Words:
-        def advance(self, start):
-            self.next = 4 * start
+        def advance(self, step):
+            self.next = 4 * step  # a counter step gives four words
             return self
 
         def random_raw(self, size):
@@ -376,9 +385,9 @@ def test_words_at_the_thresholds_decide_as_the_doubles(monkeypatch, bit_cut):
 
     monkeypatch.setattr(np.random, "Philox", lambda seed: Words())
     monkeypatch.setattr(sqkd.protocol, "CHUNK", 100)
-    cells, counts = np.empty(len(k), dtype=np.int8), np.zeros(12, dtype=np.int64)
-    sqkd.protocol._fill(0, 0, len(k), _thresholds(bit_cut), _thresholds(p_first), cells, counts)
-    want = classify(k * 2.0**-53, bit_cut, p_first)
+    cells, counts = np.empty(flags.size, dtype=np.int8), np.zeros(12, dtype=np.int64)
+    sqkd.protocol._fill(0, 0, flags.size, _thresholds(bit_cut), _thresholds(p_first), cells, counts)
+    want = classify(flags, np.stack([bit_k, first_k], axis=1) * 2.0**-53, bit_cut, p_first)
     assert np.array_equal(cells, want) and np.array_equal(counts, np.bincount(want, minlength=12))
 
 
@@ -446,15 +455,13 @@ EXPORT_RUNS = (
 # their test ids, which skip cfg1, a run that set branch probabilities the
 # simulator no longer takes
 EXPORT_IDS = ("cfg0-0.6-0.0", "cfg2-0.08-0.1", "cfg3-0.04-0.05")
-# sha256 of their exports: the rows of the first two as the per-round-array
-# simulator that the cell-code transcript replaced wrote them, those of the
-# third as the NUL-mask writer that the index-block writer replaced wrote
-# them; the '#' summary block lost its test_bit_error_rate line when the
-# test-round draw went, and no row changed
+# sha256 of their exports as the draw of two words a round gives them, first
+# taken with one span at the default chunk; the rows are the per-row
+# writer's (test_block_writer_matches_the_per_row_writer)
 EXPORT_SHA256 = (
-    "e0ff1a11701611152b6a907a4d1fddfca1ed11dccbc5294d95a8d34eb3b61724",
-    "01454dab1ddaf971d3fe5874791af9de51cc0737bcb2156912f1294c096ccb40",
-    "80df6e4bff97538b49a80c87465549a63263338d180f4acdfa1f5a5de6d7bdc3",
+    "f4b6fd27ba675cb45e4c0e9ffe161cbbfa30d6d63297e409416299acb0d98002",
+    "7555198e850b2f695b4ef592340f9da6785ee3301ca0153c2391eb55d4a9362a",
+    "ba53d652682294da944a56a0a25ffe7b0fae79174730639f0fbce84689c1269e",
 )
 
 
@@ -482,7 +489,7 @@ def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chu
     runs = EXPORT_RUNS[:2] if chunk == 1 else EXPORT_RUNS
     monkeypatch.setattr(sqkd.protocol, "SPAN", 1)
     spans = record_spans(monkeypatch)
-    single = None
+    single, all_starts = None, set()
     for w in (1,) if chunk == 1 else (1, 2, 3, 5):
         monkeypatch.setattr(sqkd.protocol, "CORES", w)
         transcripts = []
@@ -494,6 +501,7 @@ def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chu
             assert len(starts) == w and len(set(threads)) == w
             if w > 1:
                 assert any(start % chunk for start in starts), "a span end off the chunk grid"
+            all_starts.update(starts)
             transcripts.append(tr)
         for tr, digest in zip(transcripts, EXPORT_SHA256):
             tr.to_csv(tmp_path / "t.csv")
@@ -504,6 +512,23 @@ def test_exports_are_byte_identical_at_any_chunk_size(tmp_path, monkeypatch, chu
             assert np.array_equal(tr.cells, one.cells)
     assert transcripts[1].n_rounds > 3 * 4096
     assert chunk == 1 or transcripts[2].n_rounds > 3 * DEFAULT_CHUNK
+    # a span from an odd round starts halfway through a counter step: 1333 of 2000 in three spans
+    assert chunk == 1 or 1333 in all_starts
+
+
+@pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
+def test_a_fill_from_any_round_is_the_tail_of_a_fill_from_round_0(monkeypatch, chunk):
+    # odd starts begin halfway through a counter step, even ones at its start;
+    # the last two lie inside the second chunk of the whole fill
+    monkeypatch.setattr(sqkd.protocol, "CHUNK", chunk)
+    stop, k_bit, k_first = 3 * chunk + 1000, _thresholds(0.6), _thresholds(np.linspace(0.1, 0.8, 8))
+    whole = np.empty(stop, dtype=np.int8)
+    sqkd.protocol._fill(17, 0, stop, k_bit, k_first, whole, np.zeros(12, dtype=np.int64))
+    for start in (1, 2, chunk + 1, chunk + 2):
+        cells, counts = np.full(stop, -1, dtype=np.int8), np.zeros(12, dtype=np.int64)
+        sqkd.protocol._fill(17, start, stop, k_bit, k_first, cells, counts)
+        assert np.array_equal(cells[start:], whole[start:]) and np.all(cells[:start] == -1), start
+        assert np.array_equal(counts, np.bincount(whole[start:], minlength=12)), start
 
 
 @pytest.mark.parametrize("cores, n, spans", [(1, 5000, 1), (2, 2000, 1), (2, 5000, 2), (16, 20000, 8)])
