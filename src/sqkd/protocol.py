@@ -4,17 +4,17 @@ Each round Alice sends |+>, Bob either measures in Z and resends his result
 (SIFT) or reflects the state untouched (CTRL), and Alice measures the
 returning state in Z or X.  Under a collective attack the rounds are i.i.d.,
 so every round is drawn from the law of a round, ``cell_probabilities``,
-instead of tracking a global state.  Round i reads the i-th pair of words
-(A, B) of one Philox stream: Bob sifts when bit 0 of A is 0, Alice measures in
-X when bit 1 of A is 1, and Bob's bit and Alice's outcome compare the top 53
-bits of A and B with integer thresholds that decide as ``Generator.random``'s
-double of the word would.  That double drops the 11 low bits, so the fair
-choices are exactly 1/2 and all four independent.  A counter step gives four
-words, two rounds, so ``Philox.advance(i // 2)``, less one pair for an odd i,
-draws round i as the one stream would.  A run is therefore cut into up to
-eight spans of contiguous rounds, each drawn by its own generator on its own
-thread, CHUNK rounds at a time, so transcripts are reproducible whatever the
-block size and the number of spans.
+instead of tracking a global state.  Round i reads the i-th 64-bit word of one
+Philox stream: Bob sifts when bit 0 is 0 and Alice measures in X when bit 1
+is 1, and the top 53 bits pick the cell of that choice, compared with integer
+thresholds of the cumulative probabilities of its cells that decide as
+``Generator.random``'s double of the word would.  That double drops the 11 low
+bits, so the fair choices are exactly 1/2 and independent of the cell draw.
+A counter step gives four words, four rounds, so ``Philox.advance(i // 4)``,
+less i % 4 words, draws round i as the one stream would.  A run is therefore
+cut into up to eight spans of contiguous rounds, each drawn by its own
+generator on its own thread, CHUNK rounds at a time, so transcripts are
+reproducible whatever the block size and the number of spans.
 
 A round is stored as one int8 cell code, ``2 * branch + second``.  The branch
 (see ``_ROW_SUFFIX``) fixes Bob's choice, Alice's basis and, on SIFT rounds,
@@ -43,7 +43,7 @@ ABORT_KEY_RATE = "KEY_RATE"
 
 TRANSCRIPT_HEADER = "round,bob_choice,alice_basis,bob_bit,alice_outcome"
 
-#: rounds drawn and classified per block, 256 kB of words; each block's dozen numpy
+#: rounds drawn and classified per block, 128 kB of words; each block's dozen numpy
 #: calls hold the GIL while they dispatch, so larger blocks let the spans' threads overlap more
 CHUNK = 16384
 #: the fewest rounds worth a span of their own: starting and joining a thread
@@ -94,9 +94,8 @@ def _layout(width: int) -> tuple[np.dtype, np.ndarray]:
 
 
 _LAYOUTS = {width: _layout(width) for width in range(1, len(str(MAX_ROUNDS - 1)) + 1)}
-# the first cell of each packed choice, 4 * (alice_basis == X) + 2 * ctrl +
-# bob_bit; CTRL rounds ignore the bit
-_FIRST_CELL = np.array([0, 2, 8, 8, 4, 6, 10, 10], dtype=np.int8)
+# the first cell of each choice, ctrl + 2 * (alice_basis == X)
+_FIRST_CELL = np.array([0, 8, 4, 10], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -212,23 +211,21 @@ def _thresholds(p) -> np.ndarray:
     return np.ceil(np.multiply(p, 2.0**53)).astype(np.uint64)
 
 
-def _fill(seed: int, start: int, stop: int, k_bit: np.uint64, k_first: np.ndarray,
-          cells: np.ndarray, counts: np.ndarray) -> None:
+def _fill(seed: int, start: int, stop: int, k: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> None:
     """Draw and classify rounds [start, stop) into ``cells[start:stop]`` and
     add their number in each cell to ``counts``.  The generator is jumped to
-    round ``start``, two rounds a counter step; ``k_bit`` is the threshold of
-    Bob's bit, 1/2 + b, and ``k_first`` that of the first outcome of each
-    packed choice, 4 * (alice_basis == X) + 2 * ctrl + bob_bit.
+    round ``start``, four rounds a counter step; ``k[j, c]`` is the threshold of
+    the probability of the first j + 1 cells of choice c, ctrl + 2 * (alice_basis == X).
     """
-    bitgen = np.random.Philox(seed).advance(start // 2)
-    bitgen.random_raw(2 * (start % 2))
+    bitgen = np.random.Philox(seed).advance(start // 4)
+    bitgen.random_raw(start % 4)
     for a in range(start, stop, CHUNK):
-        w = bitgen.random_raw(2 * min(CHUNK, stop - a)).reshape(-1, 2)
-        packed = (w[:, 0] & 3).view(np.int64)
+        w = bitgen.random_raw(min(CHUNK, stop - a))
+        choice = (w & 3).view(np.int64)
         w >>= 11
-        packed <<= 1
-        packed |= w[:, 0] >= k_bit
-        block = _FIRST_CELL[packed] + (w[:, 1] >= k_first[packed])
+        block = _FIRST_CELL[choice]
+        for k_j in k:
+            block += w >= k_j[choice]
         del w  # the next chunk's words are drawn only after these are freed
         cells[a:a + block.size] = block
         counts += np.bincount(block, minlength=12)
@@ -242,25 +239,28 @@ def run_protocol(cfg: ProtocolConfig, attack: RestrictedAttack) -> ProtocolTrans
     (cfg, attack) pairs produce bit-identical transcripts.
     """
     n, n_rounds = cfg.n, cfg.n_rounds
-    # the thresholds of Bob's bit and of the first outcome (0 for Z, + for X) of each packed choice
-    k_bit = _thresholds(0.5 + attack.bias)
-    k_first = _thresholds(np.clip(cell_probabilities(attack)[_FIRST_CELL], 0.0, 1.0))
+    # the cumulative probabilities of each choice's cells, in code order: on SIFT
+    # Bob's bit 0 with the first outcome (0 for Z, + for X), bit 0, and bit 1 with
+    # the first outcome; on CTRL the first outcome, then 1, which no draw reaches
+    pb, p = 0.5 + attack.bias, np.clip(cell_probabilities(attack), 0.0, 1.0)
+    k = _thresholds([[pb * p[0], p[8], pb * p[4], p[10]], [pb, 1.0, pb, 1.0],
+                     [pb + (1.0 - pb) * p[2], 1.0, pb + (1.0 - pb) * p[6], 1.0]])
 
     # spans 1 ... w-1 run on threads, span 0 on this one; a run too short for
     # two spans, or a single core, starts no thread
     w = max(1, min(CORES, n_rounds // SPAN, MAX_SPANS))
-    ends = [n_rounds * k // w for k in range(w + 1)]
+    ends = [n_rounds * i // w for i in range(w + 1)]
     cells = np.empty(n_rounds, dtype=np.int8)
     counts = np.zeros((w, 12), dtype=np.int64)
     errors = [None] * w
 
-    def span(k):
+    def span(i):
         try:
-            _fill(cfg.seed, ends[k], ends[k + 1], k_bit, k_first, cells, counts[k])
+            _fill(cfg.seed, ends[i], ends[i + 1], k, cells, counts[i])
         except BaseException as exc:  # re-raised by the caller once every span has ended
-            errors[k] = exc
+            errors[i] = exc
 
-    threads = [threading.Thread(target=span, args=(k,)) for k in range(1, w)]
+    threads = [threading.Thread(target=span, args=(i,)) for i in range(1, w)]
     try:
         for thread in threads:
             thread.start()
